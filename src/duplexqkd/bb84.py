@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
-from .adversary import EveRecord, EveStrategy, maybe_intercept
-from .duplex import Direction, SlotRecord
-from .quantum import Basis, Bit, ChannelModel, measure, prepare, transmit
-from .rng import seeded_rng
+import numpy as np
+
+from .adversary import EveRecord, EveStrategy
+from .quantum import Bit, ChannelModel
+from .rng import seeded_rng, session_generator
+from .transmission import SlotColumns, SlotRecord, intercept_records, slot_records, transmit_columns
 
 __all__ = ["Bb84Config", "Bb84Outcome", "run_bb84", "sift"]
 
@@ -68,74 +71,94 @@ class Bb84Config:
             raise ValueError("detection_threshold must lie in [0, 1]")
 
 
-@dataclass
 class Bb84Outcome:
     """Result of one baseline session.
 
     ``key_timeslots`` maps the renumbered key positions back to original
     timeslots (entry i is the origin of key bit i), so reports can always
-    point at the physical slot a bit came from.
+    point at the physical slot a bit came from.  The per-slot lists are
+    built from the session's columns the first time they are read; the
+    count properties never build them.
     """
 
-    sifted_records: list[SlotRecord]
-    sampled_timeslots: list[int]
-    sample_errors: int
-    estimated_error_rate: float
-    key_bits_alice: list[Bit]
-    key_bits_bob: list[Bit]
-    key_timeslots: list[int]
-    detected: bool
-    eve_records: tuple[EveRecord, ...]
+    def __init__(
+        self,
+        columns: SlotColumns,
+        sifted: np.ndarray,
+        sampled: np.ndarray,
+        kept: np.ndarray,
+        sample_errors: int,
+        detection_threshold: float,
+    ):
+        self.columns = columns
+        self._sifted, self._sampled, self._kept = sifted, sampled, kept
+        self.sample_errors = sample_errors
+        self.estimated_error_rate = sample_errors / len(sampled) if len(sampled) else 0.0
+        self.detected = self.estimated_error_rate > detection_threshold
+
+    @property
+    def sifted_count(self) -> int:
+        return len(self._sifted)
+
+    @property
+    def sampled_count(self) -> int:
+        return len(self._sampled)
+
+    @property
+    def key_length(self) -> int:
+        return len(self._kept)
+
+    @property
+    def keys_agree(self) -> bool:
+        c = self.columns
+        return bool(np.array_equal(c.sender_bit[self._kept], c.receiver_bit[self._kept]))
+
+    @cached_property
+    def sifted_records(self) -> list[SlotRecord]:
+        records = slot_records(self.columns)
+        return [records[i] for i in self._sifted.tolist()]
+
+    @cached_property
+    def sampled_timeslots(self) -> list[int]:
+        return (self._sampled + 1).tolist()
+
+    @cached_property
+    def key_bits_alice(self) -> list[Bit]:
+        return self.columns.sender_bit[self._kept].tolist()
+
+    @cached_property
+    def key_bits_bob(self) -> list[Bit]:
+        return self.columns.receiver_bit[self._kept].tolist()
+
+    @cached_property
+    def key_timeslots(self) -> list[int]:
+        return (self._kept + 1).tolist()
+
+    @cached_property
+    def eve_records(self) -> tuple[EveRecord, ...]:
+        return intercept_records(self.columns)
 
 
 def run_bb84(config: Bb84Config) -> Bb84Outcome:
-    """Run one complete baseline session."""
-    rng = seeded_rng(config.seed)
-    coin = rng.random
-    eve_records: list[EveRecord] = []
+    """Run one complete baseline session.
 
-    records: list[SlotRecord] = []
-    for timeslot in range(1, config.n_timeslots + 1):
-        basis = Basis.X if coin() < 0.5 else Basis.Y
-        bit = 1 if coin() < 0.5 else 0
-        state = prepare(basis, bit)
-        state, intercept = maybe_intercept(timeslot, state, config.eve, rng)
-        if intercept is not None:
-            eve_records.append(intercept)
-        arrived = transmit(state, config.channel, rng)
-        bob_basis = Basis.X if coin() < 0.5 else Basis.Y
-        bob_bit = None if arrived is None else measure(arrived, bob_basis, rng)
-        records.append(
-            SlotRecord(timeslot, Direction.ALICE_TO_BOB, basis, bit, bob_basis, bob_bit)
-        )
-
-    sifted = sift(records)
+    The slots come from ``transmit_columns`` with Alice sending in every
+    slot, on ``session_generator(seeded_rng(config.seed))``; the same
+    generator then draws the compared sample.
+    """
+    gen = session_generator(seeded_rng(config.seed))
+    alice_sends = np.ones(config.n_timeslots, dtype=bool)
+    columns = transmit_columns(gen, alice_sends, config.channel, config.eve)
+    sifted = np.flatnonzero(
+        (columns.receiver_bit >= 0) & (columns.sender_basis == columns.receiver_basis)
+    )
 
     if config.sample_count is not None:
         sample_size = min(config.sample_count, len(sifted))
     else:
-        sample_size = min(
-            math.ceil(config.sample_fraction * len(sifted)), len(sifted)
-        )
-    sampled_positions = sorted(rng.sample(range(len(sifted)), sample_size))
-    sampled_set = set(sampled_positions)
-
-    errors = sum(
-        1
-        for i in sampled_positions
-        if sifted[i].receiver_bit != sifted[i].sender_bit
-    )
-    estimated_error_rate = errors / sample_size if sample_size else 0.0
-
-    kept = [record for i, record in enumerate(sifted) if i not in sampled_set]
-    return Bb84Outcome(
-        sifted_records=sifted,
-        sampled_timeslots=[sifted[i].timeslot for i in sampled_positions],
-        sample_errors=errors,
-        estimated_error_rate=estimated_error_rate,
-        key_bits_alice=[record.sender_bit for record in kept],
-        key_bits_bob=[record.receiver_bit for record in kept],
-        key_timeslots=[record.timeslot for record in kept],
-        detected=estimated_error_rate > config.detection_threshold,
-        eve_records=tuple(eve_records),
-    )
+        sample_size = min(math.ceil(config.sample_fraction * len(sifted)), len(sifted))
+    in_sample = np.zeros(len(sifted), dtype=bool)
+    in_sample[gen.permutation(len(sifted))[:sample_size]] = True
+    sampled, kept = sifted[in_sample], sifted[~in_sample]
+    errors = int(np.count_nonzero(columns.receiver_bit[sampled] != columns.sender_bit[sampled]))
+    return Bb84Outcome(columns, sifted, sampled, kept, errors, config.detection_threshold)

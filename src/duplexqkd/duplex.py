@@ -22,20 +22,40 @@ transmission can be checked without sacrificing key material.
 The wire form of a published pair orders the two timeslots with the later
 one first; either party recovers the set-2/set-3 roles from the slot
 directions, so the order carries no information.
+
+``run_duplex_session`` runs the whole session on the array columns of the
+shared ``transmission`` kernel: filtering is a mask, flip pairing zips two
+index arrays, search pairing is a per-bit FIFO, verification is an XOR
+compare and key extraction a gather.  The dict/tuple step functions below
+(``filter_sets``, ``make_triples_flip``, ``verify_triples``, ...) are the
+reference statement of each step; replay and the tests use them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from enum import Enum
+from collections import defaultdict, deque
+from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .adversary import EveRecord, EveStrategy, maybe_intercept
-from .quantum import Basis, Bit, ChannelModel, measure, prepare, transmit
-from .rng import seeded_rng
+import numpy as np
+
+from .adversary import EveRecord, EveStrategy
+from .quantum import Basis, Bit, ChannelModel
+from .rng import seeded_rng, session_generator
+from .transmission import (
+    BASES,
+    Direction,
+    Party,
+    SlotColumns,
+    SlotRecord,
+    intercept_records,
+    slot_records,
+    transmit_columns,
+)
 
 __all__ = [
     "Direction",
@@ -67,65 +87,6 @@ __all__ = [
     "format_transcript",
     "example_transcript_path",
 ]
-
-Party = Literal["alice", "bob"]
-
-
-class Direction(Enum):
-    """Who transmitted the photon in a given timeslot."""
-
-    ALICE_TO_BOB = "A>B"
-    BOB_TO_ALICE = "B>A"
-
-    def sender(self) -> Party:
-        return "alice" if self is Direction.ALICE_TO_BOB else "bob"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-@dataclass(frozen=True, slots=True)
-class SlotRecord:
-    """Everything that happened in one timeslot.
-
-    ``receiver_bit`` is ``None`` when the photon never arrived.  The record
-    is the union of both parties' private notes; protocol steps must only
-    look at the fields their executing party legitimately knows.
-    """
-
-    timeslot: int
-    direction: Direction
-    sender_basis: Basis
-    sender_bit: Bit
-    receiver_basis: Basis
-    receiver_bit: Bit | None
-
-    @property
-    def lost(self) -> bool:
-        return self.receiver_bit is None
-
-    @property
-    def bases_match(self) -> bool:
-        return self.sender_basis is self.receiver_basis
-
-    def basis_of(self, party: Party) -> Basis:
-        if (self.direction is Direction.ALICE_TO_BOB) == (party == "alice"):
-            return self.sender_basis
-        return self.receiver_basis
-
-    def bit_of(self, party: Party) -> Bit | None:
-        if (self.direction is Direction.ALICE_TO_BOB) == (party == "alice"):
-            return self.sender_bit
-        return self.receiver_bit
-
-
-def _odd_alice(timeslot: int) -> Direction:
-    return Direction.ALICE_TO_BOB if timeslot % 2 == 1 else Direction.BOB_TO_ALICE
-
-
-# Named interleaving rules; a Transcript also accepts any callable rule.
-INTERLEAVINGS: dict[str, Callable[[int], Direction]] = {"odd_alice": _odd_alice}
-
 
 @dataclass(frozen=True)
 class Transcript:
@@ -163,6 +124,21 @@ class Transcript:
         return {record.timeslot: record for record in self.slots}
 
 
+def _direction_mask(
+    n_timeslots: int, interleaving: str | Callable[[int], Direction]
+) -> tuple[np.ndarray, str]:
+    """The alice-sends mask of an interleaving rule, and the rule's name."""
+    if callable(interleaving):
+        mask = np.array(
+            [interleaving(t) is Direction.ALICE_TO_BOB for t in range(1, n_timeslots + 1)],
+            dtype=bool,
+        )
+        return mask, getattr(interleaving, "__name__", "custom")
+    if interleaving != "odd_alice":
+        raise ValueError(f"unknown interleaving rule {interleaving!r}")
+    return np.arange(n_timeslots) % 2 == 0, interleaving  # timeslots 1, 3, 5, ...
+
+
 def run_duplex_transmission(
     n_timeslots: int,
     channel: ChannelModel,
@@ -172,40 +148,21 @@ def run_duplex_transmission(
     interleaving: str | Callable[[int], Direction] = "odd_alice",
     eve_sink: list[EveRecord] | None = None,
 ) -> Transcript:
-    """Simulate the quantum phase of one duplex session.
+    """Simulate the quantum phase of one duplex session as a transcript.
 
-    Each timeslot gets a direction from the interleaving rule; the sender
-    draws a uniform basis and bit, Eve may intercept, the channel may lose or
-    flip the state, and the receiver measures in a uniform basis.  Intercept
-    records are appended to ``eve_sink`` when one is supplied.
+    Each timeslot gets a direction from the interleaving rule ("odd_alice":
+    Alice sends in odd slots); the slots are then drawn by
+    ``transmit_columns`` from ``session_generator(rng)``, exactly as
+    ``run_duplex_session`` draws them for ``seeded_rng(seed)``.
+    Intercept records are appended to ``eve_sink`` when one is supplied.
     """
     if n_timeslots < 2:
         raise ValueError(f"a duplex run needs at least 2 timeslots, got {n_timeslots}")
-    if callable(interleaving):
-        rule, rule_name = interleaving, getattr(interleaving, "__name__", "custom")
-    else:
-        try:
-            rule, rule_name = INTERLEAVINGS[interleaving], interleaving
-        except KeyError:
-            raise ValueError(f"unknown interleaving rule {interleaving!r}") from None
-
-    coin = rng.random
-    records = []
-    for timeslot in range(1, n_timeslots + 1):
-        direction = rule(timeslot)
-        sender_basis = Basis.X if coin() < 0.5 else Basis.Y
-        sender_bit = 1 if coin() < 0.5 else 0
-        state = prepare(sender_basis, sender_bit)
-        state, intercept = maybe_intercept(timeslot, state, eve, rng)
-        if intercept is not None and eve_sink is not None:
-            eve_sink.append(intercept)
-        arrived = transmit(state, channel, rng)
-        receiver_basis = Basis.X if coin() < 0.5 else Basis.Y
-        receiver_bit = None if arrived is None else measure(arrived, receiver_basis, rng)
-        records.append(
-            SlotRecord(timeslot, direction, sender_basis, sender_bit, receiver_basis, receiver_bit)
-        )
-    return Transcript(tuple(records), rule_name)
+    alice_sends, rule_name = _direction_mask(n_timeslots, interleaving)
+    columns = transmit_columns(session_generator(rng), alice_sends, channel, eve)
+    if eve_sink is not None:
+        eve_sink.extend(intercept_records(columns))
+    return Transcript(tuple(slot_records(columns)), rule_name)
 
 
 def announce_bases(transcript: Transcript, party: Party) -> dict[int, Basis]:
@@ -412,20 +369,22 @@ def make_pairs_search(
 
     Walking set 2 in timeslot order, each element takes the earliest unused
     set-3 element with the same bit value; elements with no available match
-    are skipped and reported.
+    are skipped and reported.  The earliest unused set-3 element with bit b
+    is the front of a per-bit queue, so the k-th set-2 element with bit b
+    takes the k-th set-3 element with bit b.
     """
-    used: set[int] = set()
+    queues: defaultdict[Bit, deque[int]] = defaultdict(deque)
+    for t3, b3 in set3_view:
+        queues[b3].append(t3)
     pairs: list[tuple[int, int]] = []
     unmatched: list[int] = []
     for t2, b2 in set2_view:
-        partner = next(
-            (t3 for t3, b3 in set3_view if t3 not in used and b3 == b2), None
-        )
-        if partner is None:
-            unmatched.append(t2)
+        queue = queues[b2]
+        if queue:
+            pairs.append((t2, queue.popleft()))
         else:
-            used.add(partner)
-            pairs.append((t2, partner))
+            unmatched.append(t2)
+    used = {t3 for _, t3 in pairs}
     unused = tuple(t3 for t3, _ in set3_view if t3 not in used)
     return SearchPairing(tuple(pairs), tuple(unmatched), unused)
 
@@ -523,128 +482,257 @@ class DuplexConfig:
             raise ValueError("max_pairs must be non-negative")
 
 
-@dataclass
+class _ClassicalPhase(NamedTuple):
+    """The classical phase of one session on slot-index arrays.
+
+    Slot arrays hold 0-based indices (timeslot - 1); pair arrays have one
+    entry per published pair, in publication order.
+    """
+
+    discard: np.ndarray  # Bob's discard reply, as a mask over slots
+    set2: np.ndarray
+    set3: np.ndarray
+    t2: np.ndarray  # Bob's published pairs: set-2 slot, set-3 slot, flip bit
+    t3: np.ndarray
+    flip: np.ndarray
+    unpaired: np.ndarray  # sorted
+    failed: np.ndarray  # Alice's verdict per pair
+    key: np.ndarray  # per pair: contributes a key bit
+    alice_key: np.ndarray
+    bob_key: np.ndarray
+    aborted: bool
+
+
+def _timeslots(slots: np.ndarray) -> list[int]:
+    return (slots + 1).tolist()
+
+
 class DuplexSessionResult:
     """Full trace of one duplex session, public messages included.
 
-    The announcement fields hold exactly what crossed the classical channel
-    (and is therefore visible to Eve): Alice's bases, Bob's discard reply,
-    and Bob's published pair list in wire form.
+    The session itself runs on the array columns of ``columns``; the object
+    form (transcript, partition, triples, announcements, verification, keys)
+    is built from them the first time each field is read.  The announcement
+    fields hold exactly what crossed the classical channel (and is therefore
+    visible to Eve): Alice's bases, Bob's discard reply, and Bob's published
+    pair list in wire form.  The count properties answer report questions
+    without building any per-slot or per-pair object.
     """
 
-    config: DuplexConfig
-    transcript: Transcript
-    eve_records: tuple[EveRecord, ...]
-    announced_alice_bases: dict[int, Basis]
-    announced_discard: frozenset[int]
-    announced_pairs: tuple[tuple[int, ...], ...]
-    partition: SetPartition
-    triples: tuple[Triple, ...]
-    unpaired: tuple[int, ...]
-    verification: VerificationResult
-    alice_key: list[Bit]
-    bob_key: list[Bit]
-    aborted: bool
-    detected: bool
-    key_triples: tuple[Triple, ...] = field(default=(), repr=False)
+    def __init__(self, config: DuplexConfig, columns: SlotColumns, phase: _ClassicalPhase):
+        self.config = config
+        self.columns = columns
+        self._phase = phase
+        self.aborted = phase.aborted
+        self.detected = phase.aborted
+
+    @property
+    def n_timeslots(self) -> int:
+        return len(self.columns)
+
+    @property
+    def sifted(self) -> int:
+        return len(self._phase.set2) + len(self._phase.set3)
+
+    @property
+    def checked_pairs(self) -> int:
+        return len(self._phase.t2)
+
+    @property
+    def failure_count(self) -> int:
+        return int(np.count_nonzero(self._phase.failed))
+
+    @property
+    def unpaired_count(self) -> int:
+        return len(self._phase.unpaired)
+
+    @property
+    def key_length(self) -> int:
+        return len(self._phase.alice_key)
 
     @property
     def keys_agree(self) -> bool:
-        return self.alice_key == self.bob_key
+        return bool(np.array_equal(self._phase.alice_key, self._phase.bob_key))
+
+    @cached_property
+    def transcript(self) -> Transcript:
+        return Transcript(tuple(slot_records(self.columns)), self.config.interleaving)
+
+    @cached_property
+    def eve_records(self) -> tuple[EveRecord, ...]:
+        return intercept_records(self.columns)
+
+    @cached_property
+    def announced_alice_bases(self) -> dict[int, Basis]:
+        c = self.columns
+        codes = np.where(c.alice_sends, c.sender_basis, c.receiver_basis)
+        return {t: BASES[code] for t, code in enumerate(codes.tolist(), start=1)}
+
+    @cached_property
+    def partition(self) -> SetPartition:
+        p = self._phase
+        return SetPartition(
+            frozenset(_timeslots(np.flatnonzero(p.discard))),
+            tuple(_timeslots(p.set2)),
+            tuple(_timeslots(p.set3)),
+        )
+
+    @property
+    def announced_discard(self) -> frozenset[int]:
+        return self.partition.discard
+
+    @cached_property
+    def triples(self) -> tuple[Triple, ...]:
+        p = self._phase
+        return tuple(
+            Triple(t2, t3, flip)
+            for t2, t3, flip in zip(_timeslots(p.t2), _timeslots(p.t3), p.flip.tolist())
+        )
+
+    @cached_property
+    def announced_pairs(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(t.announced() for t in self.triples)
+
+    @cached_property
+    def unpaired(self) -> tuple[int, ...]:
+        return tuple(_timeslots(self._phase.unpaired))
+
+    @cached_property
+    def verification(self) -> VerificationResult:
+        failed = self._phase.failed.tolist()
+        return VerificationResult(
+            self.checked_pairs, tuple(t for t, bad in zip(self.triples, failed) if bad)
+        )
+
+    @cached_property
+    def key_triples(self) -> tuple[Triple, ...]:
+        key = self._phase.key.tolist()
+        return tuple(t for t, keep in zip(self.triples, key) if keep)
+
+    @cached_property
+    def alice_key(self) -> list[Bit]:
+        return self._phase.alice_key.tolist()
+
+    @cached_property
+    def bob_key(self) -> list[Bit]:
+        return self._phase.bob_key.tolist()
 
 
-def _published_triples(
-    config: DuplexConfig, set2_view: list[tuple[int, Bit]], set3_view: list[tuple[int, Bit]]
-) -> tuple[tuple[Triple, ...], tuple[int, ...]]:
-    """Bob's pair publication for the configured variant, with truncation."""
+def _fifo_pairs(
+    set2: np.ndarray, set3: np.ndarray, bits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Search pairing on index arrays: ``make_pairs_search``'s per-bit FIFO.
+
+    The k-th set-2 slot with bit b takes the k-th set-3 slot with bit b;
+    pairs come out in set-2 order, plus the unmatched and unused slots.
+    """
+    t2s, t3s, leftovers = [], [], []
+    bits2, bits3 = bits[set2], bits[set3]
+    for b in (0, 1):
+        s2, s3 = set2[bits2 == b], set3[bits3 == b]
+        m = min(len(s2), len(s3))
+        t2s.append(s2[:m])
+        t3s.append(s3[:m])
+        leftovers += [s2[m:], s3[m:]]
+    t2, t3 = np.concatenate(t2s), np.concatenate(t3s)
+    order = np.argsort(t2)
+    return t2[order], t3[order], leftovers
+
+
+def _bob_publish(
+    config: DuplexConfig, columns: SlotColumns, bob_bit: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bob's side: filter into discard/set 2/set 3, pair, truncate.
+
+    Returns the discard mask, sets 2 and 3, the paired set-2 and set-3
+    slots, and the sorted unpaired slots.
+    """
+    discard = (columns.receiver_bit < 0) | (columns.sender_basis != columns.receiver_basis)
+    kept = ~discard
+    set2 = np.flatnonzero(kept & columns.alice_sends)
+    set3 = np.flatnonzero(kept & ~columns.alice_sends)
     if config.variant == "flip_triples":
-        pairing = make_triples_flip(set2_view, set3_view)
-        triples, leftovers = pairing.triples, list(pairing.unpaired)
+        m = min(len(set2), len(set3))
+        t2, t3, leftovers = set2[:m], set3[:m], [set2[m:], set3[m:]]
     else:
-        pairing = make_pairs_search(set2_view, set3_view)
-        triples = pairing.as_triples()
-        leftovers = list(pairing.unmatched_set2) + list(pairing.unused_set3)
-    if config.max_pairs is not None and len(triples) > config.max_pairs:
-        for dropped in triples[config.max_pairs :]:
-            leftovers.extend((dropped.t_set2, dropped.t_set3))
-        triples = triples[: config.max_pairs]
-    return triples, tuple(sorted(leftovers))
+        t2, t3, leftovers = _fifo_pairs(set2, set3, bob_bit)
+    if config.max_pairs is not None and len(t2) > config.max_pairs:
+        leftovers += [t2[config.max_pairs :], t3[config.max_pairs :]]
+        t2, t3 = t2[: config.max_pairs], t3[: config.max_pairs]
+    return discard, set2, set3, t2, t3, np.sort(np.concatenate(leftovers))
+
+
+def _alice_check(
+    discard: np.ndarray,
+    wire: tuple[np.ndarray, np.ndarray, np.ndarray],
+    alice_sends: np.ndarray,
+    alice_bit: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's side: recover each wire pair's roles and check it.
+
+    Reads only public messages (Bob's discard reply, the wire-form pairs,
+    the slot directions) and her own bit column.  Returns her set-2 slot of
+    each pair and the failure mask.
+    """
+    first, second, flip = wire
+    if discard[first].any() or discard[second].any():
+        raise ValueError("announced pair references a discarded timeslot")
+    first_is_set2 = alice_sends[first]
+    if (first_is_set2 == alice_sends[second]).any():
+        raise ValueError("announced pair does not span both directions")
+    t2 = np.where(first_is_set2, first, second)
+    t3 = np.where(first_is_set2, second, first)
+    return t2, alice_bit[t2] != (alice_bit[t3] ^ flip)
 
 
 def run_duplex_session(config: DuplexConfig) -> DuplexSessionResult:
     """Execute one complete duplex session: quantum phase through key bits.
 
-    The classical exchange is modelled message by message: Alice announces
-    her bases, Bob replies with the discard set and the pair list in wire
-    form, and Alice rebuilds the partition and the set-2/set-3 roles from
-    public data alone before verifying and extracting her key.
+    The quantum phase is ``transmit_columns`` on
+    ``session_generator(seeded_rng(config.seed))``, the stream
+    ``run_duplex_transmission`` draws for that rng.
+    The classical exchange then runs on the columns, message by message.
+    Alice announces her bases; Bob filters with them and his own, and
+    replies with the discard set and the pair list in wire form.  Alice's
+    side reads only those public messages, the slot directions and her own
+    bits: she recovers the set-2/set-3 roles of each pair from the
+    directions, verifies it, applies the failure policy and reads her key
+    bits.  Bob reads his key bits from his own records once she announces
+    which pairs failed.
     """
-    rng = seeded_rng(config.seed)
-    eve_sink: list[EveRecord] = []
-    transcript = run_duplex_transmission(
-        config.n_timeslots,
+    columns = transmit_columns(
+        session_generator(seeded_rng(config.seed)),
+        _direction_mask(config.n_timeslots, config.interleaving)[0],
         config.channel,
         config.eve,
-        rng,
-        interleaving=config.interleaving,
-        eve_sink=eve_sink,
     )
+    alice_sends = columns.alice_sends
+    alice_bit = np.where(alice_sends, columns.sender_bit, columns.receiver_bit)
+    bob_bit = np.where(alice_sends, columns.receiver_bit, columns.sender_bit)
 
     # Classical phase, Bob's side.
-    alice_announcement = announce_bases(transcript, "alice")
-    partition = filter_sets(transcript, alice_announcement, announce_bases(transcript, "bob"))
-    set2_view, set3_view = bob_pairing_views(transcript, partition)
-    triples, unpaired = _published_triples(config, set2_view, set3_view)
-    announced_pairs = tuple(t.announced() for t in triples)
+    discard, set2, set3, t2, t3, unpaired = _bob_publish(config, columns, bob_bit)
+    flip = bob_bit[t2] ^ bob_bit[t3]
+    wire = (np.maximum(t2, t3), np.minimum(t2, t3), flip)
 
-    # Classical phase, Alice's side: everything below uses public messages
-    # plus her own records.
-    directions = transcript.directions()
-    alice_triples = tuple(
-        triple_from_announcement(a, directions) for a in announced_pairs
-    )
-    alice_bits = party_bit_map(transcript, "alice")
-    verification = verify_triples(alice_bits, alice_triples)
-
-    failure_rate = (
-        len(verification.failures) / verification.checked_pairs
-        if verification.checked_pairs
-        else 0.0
-    )
+    # Classical phase, Alice's side.
+    alice_t2, failed = _alice_check(discard, wire, alice_sends, alice_bit)
+    checked = len(failed)
+    failures = int(np.count_nonzero(failed))
     if config.failure_policy == "abort":
-        aborted = not verification.passed
-        detected = not verification.passed
+        aborted = failures > 0
     else:
-        aborted = failure_rate > config.failure_threshold
-        detected = failure_rate > config.failure_threshold
+        aborted = (failures / checked if checked else 0.0) > config.failure_threshold
 
     keyed = config.variant == "flip_triples" or config.keep_searched_key
-    if aborted or not keyed:
-        key_triples: tuple[Triple, ...] = ()
-    else:
-        failed = set(verification.failures)
-        key_triples = tuple(t for t in alice_triples if t not in failed)
-
-    alice_key = extract_key(key_triples, alice_bits)
-    bob_key = extract_key(key_triples, party_bit_map(transcript, "bob"))
-
-    return DuplexSessionResult(
-        config=config,
-        transcript=transcript,
-        eve_records=tuple(eve_sink),
-        announced_alice_bases=alice_announcement,
-        announced_discard=partition.discard,
-        announced_pairs=announced_pairs,
-        partition=partition,
-        triples=triples,
-        unpaired=unpaired,
-        verification=verification,
-        alice_key=alice_key,
-        bob_key=bob_key,
+    key = ~failed if keyed and not aborted else np.zeros(checked, dtype=bool)
+    phase = _ClassicalPhase(
+        discard, set2, set3, t2, t3, flip, unpaired, failed, key,
+        alice_key=alice_bit[alice_t2[key]],
+        bob_key=bob_bit[t2[key]],
         aborted=aborted,
-        detected=detected,
-        key_triples=key_triples,
     )
+    return DuplexSessionResult(config, columns, phase)
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,9 @@ a run is fully determined by its integer seed path.  Derived streams use a
 documented counter scheme: session ``k`` of a run with master seed ``s``
 draws from ``seeded_rng(s, k)``; sweep cell ``c`` prepends its cell index,
 ``seeded_rng(s, c, k)``.  Hashing the path through SHA-256 keeps the scheme
-stable across platforms and Python versions.
+stable across platforms and Python versions.  A session's quantum phase
+draws from a numpy generator seeded with 64 bits of its ``random.Random``
+(``session_generator``), so it too is fixed by the seed path.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import hashlib
 import random
 
-__all__ = ["derive_seed", "seeded_rng"]
+import numpy as np
+
+__all__ = ["derive_seed", "seeded_rng", "session_generator"]
 
 
 def derive_seed(*path: int) -> int:
@@ -28,3 +32,8 @@ def derive_seed(*path: int) -> int:
 def seeded_rng(*path: int) -> random.Random:
     """Return a ``random.Random`` seeded from the given path."""
     return random.Random(derive_seed(*path))
+
+
+def session_generator(rng: random.Random) -> np.random.Generator:
+    """The numpy generator a session's transmission draws from ``rng``."""
+    return np.random.default_rng(rng.getrandbits(64))

@@ -15,13 +15,14 @@ Closed forms used throughout (uniform sender bases assumed):
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import beta
 
 from .adversary import EveKind, EveRecord, EveStrategy
 from .bb84 import Bb84Config, Bb84Outcome, run_bb84
@@ -46,6 +47,7 @@ __all__ = [
     "binomial_interval",
     "report_from_duplex",
     "report_from_bb84",
+    "effective_workers",
     "run_sessions",
     "aggregate_reports",
     "compare_protocols",
@@ -139,22 +141,21 @@ def report_from_duplex(
     session_index: int | None = None,
     seed: int | None = None,
 ) -> SessionReport:
-    checked = result.verification.checked_pairs
-    failures = len(result.verification.failures)
-    partition = result.partition
+    checked = result.checked_pairs
+    failures = result.failure_count
     return SessionReport(
         protocol="duplex",
-        n_timeslots=len(result.transcript),
-        sifted=len(partition.set2) + len(partition.set3),
+        n_timeslots=result.n_timeslots,
+        sifted=result.sifted,
         sifted_or_paired=checked,
         failures=failures,
         estimated_error_rate=failures / checked if checked else 0.0,
-        key_length=len(result.alice_key),
+        key_length=result.key_length,
         keys_agree=result.keys_agree,
         eve_pair_bits_revealed=checked,
         detected=result.detected,
         aborted=result.aborted,
-        unpaired=len(result.unpaired),
+        unpaired=result.unpaired_count,
         variant=result.config.variant,
         keyed_search_pairs=(
             result.config.keep_searched_key
@@ -172,16 +173,16 @@ def report_from_bb84(
     session_index: int | None = None,
     seed: int | None = None,
 ) -> SessionReport:
-    sampled = len(outcome.sampled_timeslots)
+    sampled = outcome.sampled_count
     return SessionReport(
         protocol="bb84",
         n_timeslots=config.n_timeslots,
-        sifted=len(outcome.sifted_records),
-        sifted_or_paired=len(outcome.sifted_records),
+        sifted=outcome.sifted_count,
+        sifted_or_paired=outcome.sifted_count,
         failures=outcome.sample_errors,
         estimated_error_rate=outcome.estimated_error_rate,
-        key_length=len(outcome.key_bits_alice),
-        keys_agree=outcome.key_bits_alice == outcome.key_bits_bob,
+        key_length=outcome.key_length,
+        keys_agree=outcome.keys_agree,
         eve_pair_bits_revealed=sampled,
         detected=outcome.detected,
         sampled=sampled,
@@ -353,6 +354,8 @@ def normal_halfwidth(p_hat: float, n: int, z: float = 1.96) -> float:
 
 def binomial_interval(successes: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
     """Exact (Clopper-Pearson) binomial confidence interval, for small n."""
+    from scipy.stats import beta  # slow to import and needed nowhere else
+
     if not 0 <= successes <= n:
         raise ValueError("successes must lie in [0, n]")
     alpha = 1.0 - confidence
@@ -378,36 +381,50 @@ def _run_one(
     return report_from_duplex(run_duplex_session(cfg), session_index=index, seed=seed)
 
 
+def effective_workers(requested: int, sessions: int, cpus: int | None) -> int:
+    """Worker processes to use: ``min(requested, sessions, cpus or 1)``.
+
+    ``requested`` below 1 is an error, never a silent serial run.
+    """
+    if requested < 1:
+        raise ValueError(f"workers must be >= 1, got {requested}")
+    return min(requested, sessions, cpus or 1)
+
+
 def run_sessions(
     protocol: str,
     config: Bb84Config | DuplexConfig,
     sessions: int,
     master_seed: int,
     workers: int = 1,
+    *,
+    pool: Executor | None = None,
 ) -> list[SessionReport]:
     """Run independent sessions; session k is seeded by derive_seed(master, k).
 
-    With ``workers > 1`` sessions are dispatched to a process pool; results
-    come back in session-index order either way.
+    With more than one effective worker (see ``effective_workers``) sessions
+    are dispatched to ``pool``, or to a process pool made for this call when
+    none is given; results come back in session-index order either way.
     """
     if protocol not in ("bb84", "duplex"):
         raise ValueError(f"unknown protocol {protocol!r}")
     if sessions < 1:
         raise ValueError("sessions must be >= 1")
+    n_workers = effective_workers(workers, sessions, os.cpu_count())
     indices = range(sessions)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(
-                    _run_one,
-                    [protocol] * sessions,
-                    [config] * sessions,
-                    indices,
-                    [master_seed] * sessions,
-                    chunksize=max(1, sessions // (workers * 4)),
-                )
+    if n_workers == 1:
+        return [_run_one(protocol, config, i, master_seed) for i in indices]
+    with nullcontext(pool) if pool is not None else ProcessPoolExecutor(n_workers) as executor:
+        return list(
+            executor.map(
+                _run_one,
+                [protocol] * sessions,
+                [config] * sessions,
+                indices,
+                [master_seed] * sessions,
+                chunksize=max(1, sessions // (n_workers * 4)),
             )
-    return [_run_one(protocol, config, i, master_seed) for i in indices]
+        )
 
 
 @dataclass(frozen=True)
@@ -592,7 +609,8 @@ def run_sweep(
     """Cross a parameter grid and aggregate ``sessions`` runs per cell.
 
     Cell c's sessions use seeds derived from (master_seed, c, k), so any
-    single cell can be reproduced without rerunning the sweep.
+    single cell can be reproduced without rerunning the sweep.  With more
+    than one effective worker, one process pool serves every cell.
     """
     if not grid:
         raise ValueError("sweep grid must name at least one parameter")
@@ -602,31 +620,34 @@ def run_sweep(
         if len(values) == 0:
             raise ValueError(f"sweep grid for {key!r} is empty")
 
+    n_workers = effective_workers(workers, sessions, os.cpu_count())
     names = [k for k in SWEEPABLE if k in grid]
     mesh = [()]
     for name in names:
         mesh = [cell + (value,) for cell in mesh for value in grid[name]]
 
     rows = []
-    for cell_index, cell in enumerate(mesh):
-        params = dict(zip(names, cell))
-        cell_config = _apply_cell(config, params)
-        reports = run_sessions(
-            protocol, cell_config, sessions, derive_seed(master_seed, cell_index), workers
-        )
-        stats = aggregate_reports(reports, z)
-        row = {**params}
-        row.update(
-            {
-                "sessions": stats.sessions,
-                "detection_rate": stats.detection_rate,
-                "detection_halfwidth": stats.detection_halfwidth,
-                "mean_error_rate": stats.mean_error_rate,
-                "error_rate_halfwidth": stats.error_rate_halfwidth,
-                "key_rate_per_timeslot": stats.key_rate_per_timeslot,
-                "key_rate_halfwidth": stats.key_rate_halfwidth,
-                "pair_failure_rate": stats.pair_failure_rate,
-            }
-        )
-        rows.append(row)
+    with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
+        for cell_index, cell in enumerate(mesh):
+            params = dict(zip(names, cell))
+            cell_config = _apply_cell(config, params)
+            reports = run_sessions(
+                protocol, cell_config, sessions, derive_seed(master_seed, cell_index),
+                n_workers, pool=pool,
+            )
+            stats = aggregate_reports(reports, z)
+            row = {**params}
+            row.update(
+                {
+                    "sessions": stats.sessions,
+                    "detection_rate": stats.detection_rate,
+                    "detection_halfwidth": stats.detection_halfwidth,
+                    "mean_error_rate": stats.mean_error_rate,
+                    "error_rate_halfwidth": stats.error_rate_halfwidth,
+                    "key_rate_per_timeslot": stats.key_rate_per_timeslot,
+                    "key_rate_halfwidth": stats.key_rate_halfwidth,
+                    "pair_failure_rate": stats.pair_failure_rate,
+                }
+            )
+            rows.append(row)
     return SweepResult(protocol, tuple(rows))

@@ -1,0 +1,174 @@
+"""The transmission kernel shared by both protocols.
+
+One call simulates the quantum phase of a whole session as numpy columns,
+one entry per timeslot.  The physics is the scalar model of ``quantum`` and
+``adversary``, applied slot-wise to arrays:
+
+1. the sender draws a uniform basis and bit;
+2. Eve, when she intercepts, measures in her policy's basis (a cross-basis
+   reading is a fair coin) and forwards the collapsed eigenstate;
+3. the channel loses the state, or else may flip its bit within its basis;
+4. the receiver measures in a uniform basis (again a fair coin across bases).
+
+All randomness of a session comes from one ``gen.random((DRAWS, n))`` block,
+row by row as laid out below, so a session is a pure function of its
+generator's seed.  ``SlotRecord`` is the per-slot object form of the same
+data, used by transcripts, replay and the reference step functions.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+from typing import Literal
+
+import numpy as np
+
+from .adversary import BasisPolicy, EveKind, EveRecord, EveStrategy
+from .quantum import Basis, Bit, ChannelModel
+
+__all__ = ["Direction", "SlotRecord", "SlotColumns", "transmit_columns", "slot_records", "intercept_records"]
+
+Party = Literal["alice", "bob"]
+
+# Column code -> basis; the int8 basis columns hold 0 for X and 1 for Y.
+BASES = (Basis.X, Basis.Y)
+
+# Rows of the per-session uniform block.  Rows 0-5 are fair coins.
+_SENDER_BASIS, _SENDER_BIT, _EVE_BASIS, _EVE_READING, _RECEIVER_BASIS, _RECEIVER_READING = range(6)
+_INTERCEPT, _LOSS, _FLIP = 6, 7, 8
+DRAWS = 9
+
+
+class Direction(Enum):
+    """Who transmitted the photon in a given timeslot."""
+
+    ALICE_TO_BOB = "A>B"
+    BOB_TO_ALICE = "B>A"
+
+    def sender(self) -> Party:
+        return "alice" if self is Direction.ALICE_TO_BOB else "bob"
+
+    def __str__(self) -> str:
+        return self.value
+
+
+@dataclass(frozen=True, slots=True)
+class SlotRecord:
+    """Everything that happened in one timeslot.
+
+    ``receiver_bit`` is ``None`` when the photon never arrived.  The record
+    is the union of both parties' private notes; protocol steps must only
+    look at the fields their executing party legitimately knows.
+    """
+
+    timeslot: int
+    direction: Direction
+    sender_basis: Basis
+    sender_bit: Bit
+    receiver_basis: Basis
+    receiver_bit: Bit | None
+
+    @property
+    def lost(self) -> bool:
+        return self.receiver_bit is None
+
+    @property
+    def bases_match(self) -> bool:
+        return self.sender_basis is self.receiver_basis
+
+    def basis_of(self, party: Party) -> Basis:
+        if (self.direction is Direction.ALICE_TO_BOB) == (party == "alice"):
+            return self.sender_basis
+        return self.receiver_basis
+
+    def bit_of(self, party: Party) -> Bit | None:
+        if (self.direction is Direction.ALICE_TO_BOB) == (party == "alice"):
+            return self.sender_bit
+        return self.receiver_bit
+
+
+@dataclass(frozen=True, eq=False)
+class SlotColumns:
+    """One session's quantum phase; entry ``i`` describes timeslot ``i + 1``.
+
+    ``alice_sends`` is the direction mask (True where Alice sent).  Bases
+    are int8 codes into ``BASES``, bits are int8 0/1, and ``receiver_bit``
+    is -1 where the photon was lost.  ``eve_basis``/``eve_bit`` are what Eve
+    read, meaningful only where ``intercepted``.
+    """
+
+    alice_sends: np.ndarray
+    sender_basis: np.ndarray
+    sender_bit: np.ndarray
+    receiver_basis: np.ndarray
+    receiver_bit: np.ndarray
+    intercepted: np.ndarray
+    eve_basis: np.ndarray
+    eve_bit: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.alice_sends)
+
+
+def transmit_columns(
+    gen: np.random.Generator,
+    alice_sends: np.ndarray,
+    channel: ChannelModel,
+    eve: EveStrategy,
+) -> SlotColumns:
+    """Simulate every timeslot of one session at once."""
+    n = len(alice_sends)
+    draws = gen.random((DRAWS, n))
+    coins = (draws[:6] < 0.5).view(np.int8)
+    sender_basis, sender_bit = coins[_SENDER_BASIS], coins[_SENDER_BIT]
+
+    if eve.kind is EveKind.INTERCEPT_RESEND:
+        intercepted = draws[_INTERCEPT] < eve.intercept_fraction
+    else:
+        intercepted = np.zeros(n, dtype=bool)
+    if eve.basis_policy is BasisPolicy.UNIFORM_RANDOM:
+        eve_basis = coins[_EVE_BASIS]
+    else:
+        code = 0 if eve.basis_policy is BasisPolicy.ALWAYS_X else 1
+        eve_basis = np.full(n, code, dtype=np.int8)
+    eve_bit = np.where(eve_basis == sender_basis, sender_bit, coins[_EVE_READING])
+    state_basis = np.where(intercepted, eve_basis, sender_basis)
+    state_bit = np.where(intercepted, eve_bit, sender_bit) ^ (draws[_FLIP] < channel.flip_probability)
+
+    receiver_basis = coins[_RECEIVER_BASIS]
+    receiver_bit = np.where(receiver_basis == state_basis, state_bit, coins[_RECEIVER_READING])
+    receiver_bit[draws[_LOSS] < channel.loss_probability] = -1
+    return SlotColumns(
+        alice_sends, sender_basis, sender_bit, receiver_basis, receiver_bit,
+        intercepted, eve_basis, eve_bit,
+    )
+
+
+def slot_records(columns: SlotColumns) -> list[SlotRecord]:
+    """The columns as per-slot records, in timeslot order."""
+    directions = (Direction.BOB_TO_ALICE, Direction.ALICE_TO_BOB)
+    return [
+        SlotRecord(t, directions[a], BASES[sb], s, BASES[rb], None if r < 0 else r)
+        for t, a, sb, s, rb, r in zip(
+            range(1, len(columns) + 1),
+            columns.alice_sends.tolist(),
+            columns.sender_basis.tolist(),
+            columns.sender_bit.tolist(),
+            columns.receiver_basis.tolist(),
+            columns.receiver_bit.tolist(),
+        )
+    ]
+
+
+def intercept_records(columns: SlotColumns) -> tuple[EveRecord, ...]:
+    """Eve's interception records, in timeslot order."""
+    slots = np.flatnonzero(columns.intercepted)
+    return tuple(
+        EveRecord(t, BASES[b], bit)
+        for t, b, bit in zip(
+            (slots + 1).tolist(),
+            columns.eve_basis[slots].tolist(),
+            columns.eve_bit[slots].tolist(),
+        )
+    )

@@ -1,8 +1,11 @@
 """Independent brute-force oracles for expected values used in tests.
 
-Everything here is computed by exhaustive weighted enumeration or by exact
-probability arithmetic, never by calling the simulator, so these functions
-can vouch for the values the simulator is asserted against.
+The probability oracles are computed by exhaustive weighted enumeration or
+by exact probability arithmetic, never by calling the simulator, so they can
+vouch for the values the simulator is asserted against.  The reference
+protocol oracles (``greedy_pairs_search``, ``reference_duplex_session``)
+restate a protocol rule in its plainest form, or compose the dict/tuple
+step functions, to check the fast implementations against.
 """
 
 from __future__ import annotations
@@ -13,6 +16,20 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.stats import binom
+
+from duplexqkd import (
+    announce_bases,
+    bob_pairing_views,
+    extract_key,
+    filter_sets,
+    make_pairs_search,
+    make_triples_flip,
+    party_bit_map,
+    run_duplex_transmission,
+    triple_from_announcement,
+    verify_triples,
+)
+from duplexqkd.rng import seeded_rng
 
 
 def enumerate_slot_error_probability(
@@ -144,3 +161,84 @@ def expected_bb84_key_length(n_timeslots: int, sample_fraction: float) -> float:
 def binomial_3sigma(p: float, n: int) -> float:
     """Three-sigma half-width of an empirical proportion of n Bernoulli(p)."""
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def greedy_pairs_search(set2_view, set3_view):
+    """Same-bit-value pairing by rescanning set 3 for every set-2 element.
+
+    The quadratic statement of the rule: walking set 2 in order, each
+    element takes the earliest unused set-3 element with the same bit.
+    Returns (pairs, unmatched set-2 slots, unused set-3 slots).
+    """
+    used: set[int] = set()
+    pairs, unmatched = [], []
+    for t2, b2 in set2_view:
+        partner = next((t3 for t3, b3 in set3_view if t3 not in used and b3 == b2), None)
+        if partner is None:
+            unmatched.append(t2)
+        else:
+            used.add(partner)
+            pairs.append((t2, partner))
+    unused = tuple(t3 for t3, _ in set3_view if t3 not in used)
+    return tuple(pairs), tuple(unmatched), unused
+
+
+def reference_duplex_session(config) -> dict:
+    """One duplex session composed message by message from the public steps.
+
+    Runs on ``run_duplex_transmission(..., seeded_rng(config.seed))`` and
+    uses only the dict/tuple step functions, so it vouches for the array
+    session independently of its code.
+    """
+    sink: list = []
+    transcript = run_duplex_transmission(
+        config.n_timeslots, config.channel, config.eve, seeded_rng(config.seed),
+        interleaving=config.interleaving, eve_sink=sink,
+    )
+    alice_bases = announce_bases(transcript, "alice")
+    partition = filter_sets(transcript, alice_bases, announce_bases(transcript, "bob"))
+    set2_view, set3_view = bob_pairing_views(transcript, partition)
+    if config.variant == "flip_triples":
+        pairing = make_triples_flip(set2_view, set3_view)
+        triples, leftovers = pairing.triples, list(pairing.unpaired)
+    else:
+        pairing = make_pairs_search(set2_view, set3_view)
+        triples = pairing.as_triples()
+        leftovers = list(pairing.unmatched_set2) + list(pairing.unused_set3)
+    if config.max_pairs is not None and len(triples) > config.max_pairs:
+        for dropped in triples[config.max_pairs :]:
+            leftovers.extend((dropped.t_set2, dropped.t_set3))
+        triples = triples[: config.max_pairs]
+    announced_pairs = tuple(t.announced() for t in triples)
+
+    directions = transcript.directions()
+    alice_triples = tuple(triple_from_announcement(a, directions) for a in announced_pairs)
+    alice_bits = party_bit_map(transcript, "alice")
+    verification = verify_triples(alice_bits, alice_triples)
+    checked = verification.checked_pairs
+    if config.failure_policy == "abort":
+        aborted = not verification.passed
+    else:
+        rate = len(verification.failures) / checked if checked else 0.0
+        aborted = rate > config.failure_threshold
+    keyed = config.variant == "flip_triples" or config.keep_searched_key
+    failed = set(verification.failures)
+    key_triples = () if aborted or not keyed else tuple(
+        t for t in alice_triples if t not in failed
+    )
+    return {
+        "transcript": transcript,
+        "eve_records": tuple(sink),
+        "announced_alice_bases": alice_bases,
+        "announced_discard": partition.discard,
+        "partition": partition,
+        "triples": triples,
+        "announced_pairs": announced_pairs,
+        "unpaired": tuple(sorted(leftovers)),
+        "verification": verification,
+        "aborted": aborted,
+        "detected": aborted,
+        "key_triples": key_triples,
+        "alice_key": extract_key(key_triples, alice_bits),
+        "bob_key": extract_key(key_triples, party_bit_map(transcript, "bob")),
+    }

@@ -1,0 +1,81 @@
+"""Worker-count validation, the shared sweep pool, and import weight."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import duplexqkd
+from duplexqkd import Bb84Config, DuplexConfig, EveStrategy, run_sessions, run_sweep
+from duplexqkd.cli import main
+from duplexqkd.stats import effective_workers
+
+
+@pytest.mark.parametrize(
+    "requested,sessions,cpus,expected",
+    [
+        (1, 100, 8, 1),
+        (4, 100, 8, 4),
+        (4, 100, 2, 2),  # clamped to the machine
+        (4, 3, 8, 3),  # never more workers than sessions
+        (64, 10**9, 2, 2),  # a huge request starts no more than the cpus
+        (3, 100, None, 1),  # unknown cpu count means one
+    ],
+)
+def test_effective_workers_clamps(requested, sessions, cpus, expected):
+    assert effective_workers(requested, sessions, cpus) == expected
+
+
+@pytest.mark.parametrize("requested", [0, -1, -100])
+def test_effective_workers_rejects_fewer_than_one(requested):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        effective_workers(requested, 10, 4)
+
+
+def test_run_sessions_and_sweep_reject_nonsense_workers():
+    config = DuplexConfig(n_timeslots=20)
+    with pytest.raises(ValueError, match="workers"):
+        run_sessions("duplex", config, 4, master_seed=1, workers=0)
+    with pytest.raises(ValueError, match="workers"):
+        run_sweep("duplex", config, {"intercept_fraction": [0.0]}, 4, master_seed=1, workers=-2)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_cli_rejects_nonsense_workers_in_one_line(command, capsys):
+    assert main([command, "--timeslots", "20", "--sessions", "2", "--workers", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "workers must be >= 1" in err
+
+
+def test_run_sweep_worker_pool_matches_serial():
+    config = Bb84Config(n_timeslots=50)
+    grid = {"intercept_fraction": [0.0, 1.0], "flip_probability": [0.0, 0.05]}
+    serial = run_sweep("bb84", config, grid, sessions=8, master_seed=9, workers=1)
+    pooled = run_sweep("bb84", config, grid, sessions=8, master_seed=9, workers=2)
+    assert serial == pooled
+
+
+def test_duplex_sweep_worker_pool_matches_serial():
+    config = DuplexConfig(n_timeslots=60, eve=EveStrategy.intercept_resend(0.5))
+    grid = {"flip_probability": [0.0, 0.02]}
+    serial = run_sweep("duplex", config, grid, sessions=6, master_seed=3, workers=1)
+    pooled = run_sweep("duplex", config, grid, sessions=6, master_seed=3, workers=2)
+    assert serial == pooled
+
+
+def test_import_and_run_leave_scipy_stats_unloaded(tmp_path):
+    code = (
+        "import sys\n"
+        "import duplexqkd\n"
+        "assert 'scipy.stats' not in sys.modules, 'import duplexqkd loaded scipy.stats'\n"
+        "from duplexqkd import cli\n"
+        f"assert cli.main(['run', '--timeslots', '40', '--sessions', '3', '--out', {str(tmp_path)!r}]) == 0\n"
+        "assert 'scipy.stats' not in sys.modules, 'cli run loaded scipy.stats'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(duplexqkd.__file__).resolve().parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path
+    )
+    assert result.returncode == 0, result.stderr
