@@ -24,23 +24,17 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import stats
 from .adversary import BasisPolicy, EveStrategy
 from .bb84 import Bb84Config
 from .duplex import (
     DuplexConfig,
-    DuplexSessionResult,
     Transcript,
     TranscriptFormatError,
-    bob_pairing_views,
-    announce_bases,
-    extract_key,
-    filter_sets,
-    make_pairs_search,
-    make_triples_flip,
-    party_bit_map,
+    classical_phase,
     read_transcript,
-    verify_triples,
 )
 from .quantum import ChannelModel
 
@@ -55,6 +49,18 @@ _EVE_BASIS_CHOICES = {
 
 def _json_bytes(payload) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii")
+
+
+class _WriteError(Exception):
+    """An output file that could not be written; exits with status 1."""
+
+
+def _write_file(path: Path, data: bytes) -> None:
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _add_run_options(parser: argparse.ArgumentParser, *, sweep: bool) -> None:
@@ -207,41 +213,23 @@ def _write_reports(
 ) -> None:
     if out is None:
         return
-    out.mkdir(parents=True, exist_ok=True)
     if out_format in ("json", "both"):
-        (out / json_name).write_bytes(_json_bytes(payload))
+        _write_file(out / json_name, _json_bytes(payload))
     if out_format in ("csv", "both"):
-        (out / csv_name).write_bytes(csv_text.encode("ascii"))
+        _write_file(out / csv_name, csv_text.encode("ascii"))
 
 
-def _sessions_csv(reports) -> str:
-    lines = [",".join(stats.CSV_FIELDS)]
-    for report in reports:
-        row = report.to_dict()
-        lines.append(",".join(_cell(row[f]) for f in stats.CSV_FIELDS))
-    return "\n".join(lines) + "\n"
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _sessions_csv(sessions: list[dict]) -> str:
+    return stats.csv_table(stats.CSV_FIELDS, sessions)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _session_config(args)
     reports = stats.run_sessions(args.protocol, config, args.sessions, args.seed, args.workers)
     aggregate = stats.aggregate_reports(reports)
-    payload = {
-        "config": _echo_config(args),
-        "aggregate": aggregate.to_dict(),
-        "sessions": [r.to_dict() for r in reports],
-    }
-    _write_reports(args.out, args.out_format, payload, _sessions_csv(reports), "report.json", "sessions.csv")
+    sessions = [r.to_dict() for r in reports]
+    payload = {"config": _echo_config(args), "aggregate": aggregate.to_dict(), "sessions": sessions}
+    _write_reports(args.out, args.out_format, payload, _sessions_csv(sessions), "report.json", "sessions.csv")
     print(f"protocol={args.protocol} sessions={args.sessions} seed={args.seed}")
     print(f"detection_rate={aggregate.detection_rate!r}")
     print(f"mean_error_rate={aggregate.mean_error_rate!r}")
@@ -253,33 +241,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _replay_payload(transcript: Transcript, variant: str) -> dict:
-    alice_bases = announce_bases(transcript, "alice")
-    bob_bases = announce_bases(transcript, "bob")
-    partition = filter_sets(transcript, alice_bases, bob_bases)
-    set2_view, set3_view = bob_pairing_views(transcript, partition)
-    if variant == "flip_triples":
-        pairing = make_triples_flip(set2_view, set3_view)
-        triples, unpaired = pairing.triples, pairing.unpaired
-    else:
-        pairing = make_pairs_search(set2_view, set3_view)
-        triples = pairing.as_triples()
-        unpaired = tuple(pairing.unmatched_set2) + tuple(pairing.unused_set3)
-    verification = verify_triples(party_bit_map(transcript, "alice"), triples)
-    failed = set(verification.failures)
-    key_triples = [t for t in triples if t not in failed]
-    alice_key = extract_key(key_triples, party_bit_map(transcript, "alice"))
-    bob_key = extract_key(key_triples, party_bit_map(transcript, "bob"))
+    """The replay report: the classical phase without abort, every passing pair keyed."""
+    phase = classical_phase(transcript, variant, failure_policy="threshold", failure_threshold=1.0)
+    timeslot = transcript.timeslot
+    t2, t3 = timeslot[phase.t2], timeslot[phase.t3]
+    triples = [
+        list(wire)
+        for wire in zip(np.maximum(t2, t3).tolist(), np.minimum(t2, t3).tolist(), phase.flip.tolist())
+    ]
+    failures = [t for t, failed in zip(triples, phase.failed.tolist()) if failed]
+    alice_key, bob_key = phase.alice_key.tolist(), phase.bob_key.tolist()
     return {
         "n_timeslots": len(transcript),
         "variant": variant,
-        "discard": sorted(partition.discard),
-        "set2": list(partition.set2),
-        "set3": list(partition.set3),
-        "triples": [list(t.announced()) for t in triples],
-        "unpaired": sorted(unpaired),
-        "checked_pairs": verification.checked_pairs,
-        "failures": [list(t.announced()) for t in verification.failures],
-        "passed": verification.passed,
+        "discard": sorted(timeslot[phase.discard].tolist()),
+        "set2": timeslot[phase.set2].tolist(),
+        "set3": timeslot[phase.set3].tolist(),
+        "triples": triples,
+        "unpaired": sorted(timeslot[phase.unpaired].tolist()),
+        "checked_pairs": len(triples),
+        "failures": failures,
+        "passed": not failures,
         "alice_key": alice_key,
         "bob_key": bob_key,
         "keys_agree": alice_key == bob_key,
@@ -311,8 +293,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print("bob_key:  ", "".join(map(str, payload["bob_key"])))
     print("keys_agree:", "yes" if payload["keys_agree"] else "no")
     if args.json is not None:
-        args.json.parent.mkdir(parents=True, exist_ok=True)
-        args.json.write_bytes(_json_bytes(payload))
+        _write_file(args.json, _json_bytes(payload))
     return 0
 
 
@@ -389,6 +370,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "replay":
             return _cmd_replay(args)
         return _cmd_sweep(args)
+    except _WriteError as exc:
+        print(f"duplexqkd: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"duplexqkd: {exc}", file=sys.stderr)
         return 2

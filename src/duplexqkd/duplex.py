@@ -26,9 +26,11 @@ directions, so the order carries no information.
 ``run_duplex_session`` runs the whole session on the array columns of the
 shared ``transmission`` kernel: filtering is a mask, flip pairing zips two
 index arrays, search pairing is a per-bit FIFO, verification is an XOR
-compare and key extraction a gather.  The dict/tuple step functions below
-(``filter_sets``, ``make_triples_flip``, ``verify_triples``, ...) are the
-reference statement of each step; replay and the tests use them.
+compare and key extraction a gather.  ``classical_phase`` is that exchange
+on its own; replay runs it on a parsed transcript's columns.  The dict/tuple
+step functions below (``filter_sets``, ``make_triples_flip``,
+``verify_triples``, ...) are the reference statement of each step; the
+tests and the worked-example demo use them.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -68,6 +71,7 @@ __all__ = [
     "VerificationResult",
     "DuplexConfig",
     "DuplexSessionResult",
+    "ClassicalPhase",
     "TranscriptFormatError",
     "run_duplex_transmission",
     "announce_bases",
@@ -80,6 +84,7 @@ __all__ = [
     "triple_from_announcement",
     "verify_triples",
     "extract_key",
+    "classical_phase",
     "run_duplex_session",
     "read_transcript",
     "parse_transcript",
@@ -88,40 +93,99 @@ __all__ = [
     "example_transcript_path",
 ]
 
-@dataclass(frozen=True)
 class Transcript:
-    """Ordered per-timeslot records of one duplex exchange.
+    """Per-timeslot records of one duplex exchange, held as columns.
 
     ``interleaving`` names the rule that assigned directions ("odd_alice" for
     generated runs, "file" for replayed ones).  Timeslots must be unique; the
     two directions may otherwise be arbitrary, so two fully independent
     transmissions keyed to a shared slot counter are representable.
+
+    Entry ``i`` of each column describes the ``i``-th slot: ``timeslot`` is
+    its number, ``alice_sends`` its direction, and the int8 basis and bit
+    columns are coded as in ``SlotColumns`` (``receiver_bit`` -1 for a lost
+    photon), so the classical phase runs on a transcript as on a session.
+    ``slots``, the ``SlotRecord`` form, is built the first time it is read.
     """
 
-    slots: tuple[SlotRecord, ...]
-    interleaving: str = "odd_alice"
+    timeslot: np.ndarray
+    alice_sends: np.ndarray
+    sender_basis: np.ndarray
+    sender_bit: np.ndarray
+    receiver_basis: np.ndarray
+    receiver_bit: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __init__(self, slots: Iterable[SlotRecord], interleaving: str = "odd_alice"):
+        records = tuple(slots)
         seen: set[int] = set()
-        for record in self.slots:
+        for record in records:
             if record.timeslot in seen:
                 raise ValueError(f"duplicate timeslot {record.timeslot} in transcript")
             seen.add(record.timeslot)
+        a2b = Direction.ALICE_TO_BOB
+        columns = (
+            _timeslot_column([r.timeslot for r in records]),
+            np.array([r.direction is a2b for r in records], dtype=bool),
+            np.array([_BASIS_CODES[r.sender_basis] for r in records], dtype=np.int8),
+            np.array([r.sender_bit for r in records], dtype=np.int8),
+            np.array([_BASIS_CODES[r.receiver_basis] for r in records], dtype=np.int8),
+            np.array([-1 if r.lost else r.receiver_bit for r in records], dtype=np.int8),
+        )
+        vars(self).update(zip(_COLUMNS, columns), interleaving=interleaving, slots=records)
+
+    @classmethod
+    def _from_columns(cls, interleaving: str, *columns: np.ndarray) -> Transcript:
+        """A transcript over already checked columns, in ``_COLUMNS`` order."""
+        transcript = cls.__new__(cls)
+        vars(transcript).update(zip(_COLUMNS, columns), interleaving=interleaving)
+        return transcript
+
+    @cached_property
+    def slots(self) -> tuple[SlotRecord, ...]:
+        return tuple(slot_records(self, self.timeslot.tolist()))
 
     def __len__(self) -> int:
-        return len(self.slots)
+        return len(self.timeslot)
 
     def __iter__(self) -> Iterator[SlotRecord]:
         return iter(self.slots)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        return self.interleaving == other.interleaving and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
+        )
+
+    def __repr__(self) -> str:
+        return f"Transcript(<{len(self)} slots>, interleaving={self.interleaving!r})"
+
     def timeslots(self) -> tuple[int, ...]:
-        return tuple(record.timeslot for record in self.slots)
+        return tuple(self.timeslot.tolist())
 
     def directions(self) -> dict[int, Direction]:
-        return {record.timeslot: record.direction for record in self.slots}
+        directions = map(_DIRECTIONS.__getitem__, self.alice_sends.tolist())
+        return dict(zip(self.timeslot.tolist(), directions))
 
-    def by_timeslot(self) -> dict[int, SlotRecord]:
-        return {record.timeslot: record for record in self.slots}
+
+_COLUMNS = ("timeslot", "alice_sends", "sender_basis", "sender_bit", "receiver_basis", "receiver_bit")
+# Column codes: alice_sends indexes _DIRECTIONS, a basis code indexes BASES.
+_DIRECTIONS = (Direction.BOB_TO_ALICE, Direction.ALICE_TO_BOB)
+_BASIS_CODES = {basis: code for code, basis in enumerate(BASES)}
+
+
+def _timeslot_column(timeslots: list[int]) -> np.ndarray:
+    """Timeslot numbers as int64, or as Python ints when one overflows int64."""
+    try:
+        return np.array(timeslots, dtype=np.int64)
+    except OverflowError:
+        return np.array(timeslots, dtype=object)
+
+
+def _session_transcript(columns: SlotColumns, interleaving: str) -> Transcript:
+    """A session's columns as a transcript; entry ``i`` is timeslot ``i + 1``."""
+    slot_columns = (getattr(columns, name) for name in _COLUMNS[1:])
+    return Transcript._from_columns(interleaving, np.arange(1, len(columns) + 1), *slot_columns)
 
 
 def _direction_mask(
@@ -162,7 +226,7 @@ def run_duplex_transmission(
     columns = transmit_columns(session_generator(rng), alice_sends, channel, eve)
     if eve_sink is not None:
         eve_sink.extend(intercept_records(columns))
-    return Transcript(tuple(slot_records(columns)), rule_name)
+    return _session_transcript(columns, rule_name)
 
 
 def announce_bases(transcript: Transcript, party: Party) -> dict[int, Basis]:
@@ -482,11 +546,12 @@ class DuplexConfig:
             raise ValueError("max_pairs must be non-negative")
 
 
-class _ClassicalPhase(NamedTuple):
-    """The classical phase of one session on slot-index arrays.
+class ClassicalPhase(NamedTuple):
+    """The classical phase of one exchange on slot-index arrays.
 
-    Slot arrays hold 0-based indices (timeslot - 1); pair arrays have one
-    entry per published pair, in publication order.
+    Slot arrays hold 0-based indices into the columns the phase ran on (for
+    a session, timeslot - 1); pair arrays have one entry per published pair,
+    in publication order.
     """
 
     discard: np.ndarray  # Bob's discard reply, as a mask over slots
@@ -519,7 +584,7 @@ class DuplexSessionResult:
     without building any per-slot or per-pair object.
     """
 
-    def __init__(self, config: DuplexConfig, columns: SlotColumns, phase: _ClassicalPhase):
+    def __init__(self, config: DuplexConfig, columns: SlotColumns, phase: ClassicalPhase):
         self.config = config
         self.columns = columns
         self._phase = phase
@@ -556,7 +621,7 @@ class DuplexSessionResult:
 
     @cached_property
     def transcript(self) -> Transcript:
-        return Transcript(tuple(slot_records(self.columns)), self.config.interleaving)
+        return _session_transcript(self.columns, self.config.interleaving)
 
     @cached_property
     def eve_records(self) -> tuple[EveRecord, ...]:
@@ -640,7 +705,7 @@ def _fifo_pairs(
 
 
 def _bob_publish(
-    config: DuplexConfig, columns: SlotColumns, bob_bit: np.ndarray
+    variant: str, max_pairs: int | None, columns: SlotColumns, bob_bit: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Bob's side: filter into discard/set 2/set 3, pair, truncate.
 
@@ -651,14 +716,14 @@ def _bob_publish(
     kept = ~discard
     set2 = np.flatnonzero(kept & columns.alice_sends)
     set3 = np.flatnonzero(kept & ~columns.alice_sends)
-    if config.variant == "flip_triples":
+    if variant == "flip_triples":
         m = min(len(set2), len(set3))
         t2, t3, leftovers = set2[:m], set3[:m], [set2[m:], set3[m:]]
     else:
         t2, t3, leftovers = _fifo_pairs(set2, set3, bob_bit)
-    if config.max_pairs is not None and len(t2) > config.max_pairs:
-        leftovers += [t2[config.max_pairs :], t3[config.max_pairs :]]
-        t2, t3 = t2[: config.max_pairs], t3[: config.max_pairs]
+    if max_pairs is not None and len(t2) > max_pairs:
+        leftovers += [t2[max_pairs:], t3[max_pairs:]]
+        t2, t3 = t2[:max_pairs], t3[:max_pairs]
     return discard, set2, set3, t2, t3, np.sort(np.concatenate(leftovers))
 
 
@@ -685,20 +750,61 @@ def _alice_check(
     return t2, alice_bit[t2] != (alice_bit[t3] ^ flip)
 
 
+def classical_phase(
+    columns: SlotColumns | Transcript,
+    variant: str = "flip_triples",
+    *,
+    failure_policy: str = "abort",
+    failure_threshold: float = 0.0,
+    max_pairs: int | None = None,
+    keep_searched_key: bool = True,
+) -> ClassicalPhase:
+    """The classical exchange on a session's columns, message by message.
+
+    The options mean what the ``DuplexConfig`` fields of the same names
+    mean.  Alice announces her bases; Bob filters with them and his own,
+    and replies with the discard set and the pair list in wire form.
+    Alice's side reads only those public messages, the slot directions and
+    her own bits: she recovers the set-2/set-3 roles of each pair from the
+    directions, verifies it, applies the failure policy and reads her key
+    bits.  Bob reads his key bits from his own records once she announces
+    which pairs failed.
+    """
+    alice_sends = columns.alice_sends
+    alice_bit = np.where(alice_sends, columns.sender_bit, columns.receiver_bit)
+    bob_bit = np.where(alice_sends, columns.receiver_bit, columns.sender_bit)
+
+    # Bob's side.
+    discard, set2, set3, t2, t3, unpaired = _bob_publish(variant, max_pairs, columns, bob_bit)
+    flip = bob_bit[t2] ^ bob_bit[t3]
+    wire = (np.maximum(t2, t3), np.minimum(t2, t3), flip)
+
+    # Alice's side.
+    alice_t2, failed = _alice_check(discard, wire, alice_sends, alice_bit)
+    checked = len(failed)
+    failures = int(np.count_nonzero(failed))
+    if failure_policy == "abort":
+        aborted = failures > 0
+    else:
+        aborted = (failures / checked if checked else 0.0) > failure_threshold
+
+    keyed = variant == "flip_triples" or keep_searched_key
+    key = ~failed if keyed and not aborted else np.zeros(checked, dtype=bool)
+    return ClassicalPhase(
+        discard, set2, set3, t2, t3, flip, unpaired, failed, key,
+        alice_key=alice_bit[alice_t2[key]],
+        bob_key=bob_bit[t2[key]],
+        aborted=aborted,
+    )
+
+
 def run_duplex_session(config: DuplexConfig) -> DuplexSessionResult:
     """Execute one complete duplex session: quantum phase through key bits.
 
     The quantum phase is ``transmit_columns`` on
     ``session_generator(seeded_rng(config.seed))``, the stream
-    ``run_duplex_transmission`` draws for that rng.
-    The classical exchange then runs on the columns, message by message.
-    Alice announces her bases; Bob filters with them and his own, and
-    replies with the discard set and the pair list in wire form.  Alice's
-    side reads only those public messages, the slot directions and her own
-    bits: she recovers the set-2/set-3 roles of each pair from the
-    directions, verifies it, applies the failure policy and reads her key
-    bits.  Bob reads his key bits from his own records once she announces
-    which pairs failed.
+    ``run_duplex_transmission`` draws for that rng; ``classical_phase``
+    then runs the classical exchange on its columns.
     """
     columns = transmit_columns(
         session_generator(seeded_rng(config.seed)),
@@ -706,31 +812,13 @@ def run_duplex_session(config: DuplexConfig) -> DuplexSessionResult:
         config.channel,
         config.eve,
     )
-    alice_sends = columns.alice_sends
-    alice_bit = np.where(alice_sends, columns.sender_bit, columns.receiver_bit)
-    bob_bit = np.where(alice_sends, columns.receiver_bit, columns.sender_bit)
-
-    # Classical phase, Bob's side.
-    discard, set2, set3, t2, t3, unpaired = _bob_publish(config, columns, bob_bit)
-    flip = bob_bit[t2] ^ bob_bit[t3]
-    wire = (np.maximum(t2, t3), np.minimum(t2, t3), flip)
-
-    # Classical phase, Alice's side.
-    alice_t2, failed = _alice_check(discard, wire, alice_sends, alice_bit)
-    checked = len(failed)
-    failures = int(np.count_nonzero(failed))
-    if config.failure_policy == "abort":
-        aborted = failures > 0
-    else:
-        aborted = (failures / checked if checked else 0.0) > config.failure_threshold
-
-    keyed = config.variant == "flip_triples" or config.keep_searched_key
-    key = ~failed if keyed and not aborted else np.zeros(checked, dtype=bool)
-    phase = _ClassicalPhase(
-        discard, set2, set3, t2, t3, flip, unpaired, failed, key,
-        alice_key=alice_bit[alice_t2[key]],
-        bob_key=bob_bit[t2[key]],
-        aborted=aborted,
+    phase = classical_phase(
+        columns,
+        config.variant,
+        failure_policy=config.failure_policy,
+        failure_threshold=config.failure_threshold,
+        max_pairs=config.max_pairs,
+        keep_searched_key=config.keep_searched_key,
     )
     return DuplexSessionResult(config, columns, phase)
 
@@ -744,76 +832,152 @@ def run_duplex_session(config: DuplexConfig) -> DuplexSessionResult:
 #
 # direction is A>B or B>A, bases are X or Y, bits are 0 or 1, and a lost
 # photon is written LOST in the receiver_bit column.  '#' starts a comment.
+# Rows may appear in any order; a file must be ASCII.
 # --------------------------------------------------------------------------
 
 _LOST_TOKEN = "LOST"
 
 
 class TranscriptFormatError(ValueError):
-    """A transcript row that cannot be parsed; carries its line number."""
+    """A transcript line that cannot be parsed; carries its line number."""
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
 
 
-def _parse_row(line_number: int, fields: list[str]) -> SlotRecord:
+# Token -> column code; a token missing from its table is coded _BAD.
+_DIRECTION_TOKENS = {d.value: code for code, d in enumerate(_DIRECTIONS)}
+_BASIS_TOKENS = {basis.value: code for basis, code in _BASIS_CODES.items()}
+_BIT_TOKENS = {"0": 0, "1": 1}
+_RECEIVER_BIT_TOKENS = {**_BIT_TOKENS, _LOST_TOKEN: -1}
+_BAD = -2
+
+
+def _row_error(line_number: int, fields: list[str]) -> TranscriptFormatError:
+    """The error of a row that breaks the grammar: its first bad field wins."""
     if len(fields) != 6:
-        raise TranscriptFormatError(
-            line_number, f"expected 6 columns, got {len(fields)}"
-        )
+        return TranscriptFormatError(line_number, f"expected 6 columns, got {len(fields)}")
     raw_t, raw_dir, raw_sb, raw_sbit, raw_rb, raw_rbit = fields
     try:
         timeslot = int(raw_t)
     except ValueError:
-        raise TranscriptFormatError(line_number, f"bad timeslot {raw_t!r}") from None
+        return TranscriptFormatError(line_number, f"bad timeslot {raw_t!r}")
     if timeslot < 1:
-        raise TranscriptFormatError(line_number, f"timeslot must be positive, got {timeslot}")
+        return TranscriptFormatError(line_number, f"timeslot must be positive, got {timeslot}")
+    if raw_dir not in _DIRECTION_TOKENS:
+        return TranscriptFormatError(line_number, f"bad direction {raw_dir!r}")
+    if raw_sb not in _BASIS_TOKENS or raw_rb not in _BASIS_TOKENS:
+        return TranscriptFormatError(line_number, f"bad basis in {raw_sb!r}/{raw_rb!r}")
+    if raw_sbit not in _BIT_TOKENS:
+        return TranscriptFormatError(line_number, f"bad sender bit {raw_sbit!r}")
+    return TranscriptFormatError(line_number, f"bad receiver bit {raw_rbit!r}")
+
+
+def _codes(table: dict[str, int], tokens: Sequence[str]) -> np.ndarray:
+    return np.fromiter(map(table.get, tokens, repeat(_BAD)), dtype=np.int8, count=len(tokens))
+
+
+def _int_or_zero(token: str) -> int:
     try:
-        direction = Direction(raw_dir)
+        return int(token)
     except ValueError:
-        raise TranscriptFormatError(line_number, f"bad direction {raw_dir!r}") from None
+        return 0  # not a positive timeslot, so the row is flagged
+
+
+def _split_lines(lines: Sequence[str]) -> list[list[str]]:
+    """Each line's fields, its comment dropped; a blank line has none."""
+    return [(line.split("#", 1)[0] if "#" in line else line).split() for line in lines]
+
+
+def _code_rows(rows: Sequence[list[str]]) -> tuple[list[np.ndarray], int]:
+    """Code the rows' tokens as columns, up to the first row that breaks the grammar.
+
+    Returns the six columns (``_COLUMNS`` order, direction as its code) of
+    the rows before that row, and its index (``len(rows)`` if none).
+    """
+    first_bad = len(rows)
+    if set(map(len, rows)) - {6}:
+        first_bad = next(i for i, fields in enumerate(rows) if len(fields) != 6)
+    raw_t, raw_dir, raw_sb, raw_sbit, raw_rb, raw_rbit = list(zip(*rows[:first_bad])) or [()] * 6
     try:
-        sender_basis = Basis(raw_sb)
-        receiver_basis = Basis(raw_rb)
+        timeslot = _timeslot_column(list(map(int, raw_t)))
     except ValueError:
-        raise TranscriptFormatError(
-            line_number, f"bad basis in {raw_sb!r}/{raw_rb!r}"
-        ) from None
-    if raw_sbit not in ("0", "1"):
-        raise TranscriptFormatError(line_number, f"bad sender bit {raw_sbit!r}")
-    if raw_rbit == _LOST_TOKEN:
-        receiver_bit: Bit | None = None
-    elif raw_rbit in ("0", "1"):
-        receiver_bit = int(raw_rbit)
-    else:
-        raise TranscriptFormatError(line_number, f"bad receiver bit {raw_rbit!r}")
-    return SlotRecord(
-        timeslot, direction, sender_basis, int(raw_sbit), receiver_basis, receiver_bit
-    )
+        timeslot = _timeslot_column([_int_or_zero(token) for token in raw_t])
+    columns = [
+        timeslot,
+        _codes(_DIRECTION_TOKENS, raw_dir),
+        _codes(_BASIS_TOKENS, raw_sb),
+        _codes(_BIT_TOKENS, raw_sbit),
+        _codes(_BASIS_TOKENS, raw_rb),
+        _codes(_RECEIVER_BIT_TOKENS, raw_rbit),
+    ]
+    bad = timeslot < 1
+    for codes in columns[1:]:
+        bad |= codes == _BAD
+    if bad.any():
+        first_bad = int(np.argmax(bad))
+        columns = [column[:first_bad] for column in columns]
+    return columns, first_bad
+
+
+# Lines split at a time: only one block's token lists are alive at once, so
+# parsing needs little memory beyond the text and its lines.
+_BLOCK_LINES = 4096
 
 
 def parse_transcript(text: str) -> Transcript:
-    """Parse replay-format text into a Transcript (empty text is valid)."""
-    records: list[SlotRecord] = []
-    seen: set[int] = set()
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        record = _parse_row(line_number, line.split())
-        if record.timeslot in seen:
-            raise TranscriptFormatError(
-                line_number, f"duplicate timeslot {record.timeslot}"
-            )
-        seen.add(record.timeslot)
-        records.append(record)
-    records.sort(key=lambda r: r.timeslot)
-    return Transcript(tuple(records), "file")
+    """Parse replay-format text into a Transcript (empty text is valid).
+
+    Rows may come in any order; the transcript is sorted by timeslot.  Each
+    line is split once, the rows are transposed into token columns and every
+    token is coded by a table lookup.  A text that breaks the grammar raises
+    ``TranscriptFormatError`` for its first bad row in line order (a row
+    with a bad field, or one repeating an earlier timeslot), with the line
+    number ``str.splitlines`` gives it.
+    """
+    lines = text.splitlines()
+    blocks = [_code_rows([])[0]]
+    bad_row = None
+    for start in range(0, len(lines), _BLOCK_LINES):
+        rows = list(filter(None, _split_lines(lines[start : start + _BLOCK_LINES])))
+        columns, first_bad = _code_rows(rows)
+        blocks.append(columns)
+        if first_bad < len(rows):
+            bad_row = rows[first_bad]
+            break
+    # Every row before ``bad_row`` is in the columns.
+    columns = [np.concatenate(parts) for parts in zip(*blocks)]
+    timeslot = columns[0]
+    order = np.argsort(timeslot, kind="stable")
+    ordered = timeslot[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]  # rows repeating an earlier timeslot
+    if len(repeats) or bad_row is not None:
+        numbers = [number for number, fields in enumerate(_split_lines(lines), start=1) if fields]
+        if len(repeats):
+            first = int(repeats.min())
+            raise TranscriptFormatError(numbers[first], f"duplicate timeslot {timeslot[first]}")
+        raise _row_error(numbers[len(timeslot)], bad_row)
+    columns[1] = columns[1].astype(bool)
+    if not (timeslot[1:] > timeslot[:-1]).all():
+        columns = [column[order] for column in columns]
+    return Transcript._from_columns("file", *columns)
+
+
+def _ascii_text(data: bytes) -> str:
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # Count lines as parse_transcript does, up to the offending byte.
+        line_number = len((data[: exc.start].decode("ascii") + "x").splitlines())
+        raise TranscriptFormatError(
+            line_number, f"non-ASCII byte 0x{data[exc.start]:02x}"
+        ) from None
 
 
 def read_transcript(path: str | Path) -> Transcript:
-    return parse_transcript(Path(path).read_text(encoding="ascii"))
+    """Parse a transcript file; it must be ASCII."""
+    return parse_transcript(_ascii_text(Path(path).read_bytes()))
 
 
 def format_transcript(transcript: Transcript) -> str:

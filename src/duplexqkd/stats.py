@@ -52,6 +52,7 @@ __all__ = [
     "aggregate_reports",
     "compare_protocols",
     "run_sweep",
+    "csv_table",
 ]
 
 
@@ -496,16 +497,25 @@ class ProtocolComparison:
         return {"rows": list(self.rows)}
 
     def to_csv(self) -> str:
-        fields = list(self.rows[0].keys())
-        lines = [",".join(fields)]
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(row[f]) for f in fields))
-        return "\n".join(lines) + "\n"
+        return csv_table(list(self.rows[0]), self.rows)
+
+
+def csv_table(fields: Sequence[str], rows: Iterable[Mapping]) -> str:
+    """Comma-separated table of the ``fields`` of each row, header first.
+
+    Booleans are written ``true``/``false``, floats by ``repr`` and ``None``
+    as an empty cell.
+    """
+    lines = [",".join(fields)]
+    lines += [",".join(_csv_cell(row[f]) for f in fields) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -568,11 +578,7 @@ class SweepResult:
         return {"protocol": self.protocol, "rows": list(self.rows)}
 
     def to_csv(self) -> str:
-        fields = list(self.rows[0].keys())
-        lines = [",".join(fields)]
-        for row in self.rows:
-            lines.append(",".join(_csv_cell(row[f]) for f in fields))
-        return "\n".join(lines) + "\n"
+        return csv_table(list(self.rows[0]), self.rows)
 
 
 def _apply_cell(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Literal
+from typing import Iterable, Literal
 
 import numpy as np
 
@@ -145,13 +145,17 @@ def transmit_columns(
     )
 
 
-def slot_records(columns: SlotColumns) -> list[SlotRecord]:
-    """The columns as per-slot records, in timeslot order."""
+def slot_records(columns: SlotColumns, timeslots: Iterable[int] | None = None) -> list[SlotRecord]:
+    """The columns as per-slot records, entry ``i`` as timeslot ``i + 1``.
+
+    ``timeslots`` numbers the entries instead when given; ``columns`` may be
+    anything with the five slot columns, such as a ``Transcript``.
+    """
     directions = (Direction.BOB_TO_ALICE, Direction.ALICE_TO_BOB)
     return [
         SlotRecord(t, directions[a], BASES[sb], s, BASES[rb], None if r < 0 else r)
         for t, a, sb, s, rb, r in zip(
-            range(1, len(columns) + 1),
+            range(1, len(columns) + 1) if timeslots is None else timeslots,
             columns.alice_sends.tolist(),
             columns.sender_basis.tolist(),
             columns.sender_bit.tolist(),

@@ -3,9 +3,10 @@
 The probability oracles are computed by exhaustive weighted enumeration or
 by exact probability arithmetic, never by calling the simulator, so they can
 vouch for the values the simulator is asserted against.  The reference
-protocol oracles (``greedy_pairs_search``, ``reference_duplex_session``)
-restate a protocol rule in its plainest form, or compose the dict/tuple
-step functions, to check the fast implementations against.
+protocol oracles (``greedy_pairs_search``, ``reference_duplex_session``,
+``reference_parse_transcript``, ``reference_replay_payload``) restate a
+protocol rule or the transcript grammar in its plainest form, or compose
+the dict/tuple step functions, to check the fast implementations against.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ import numpy as np
 from scipy.stats import binom
 
 from duplexqkd import (
+    Basis,
+    Direction,
+    SlotRecord,
+    Transcript,
+    TranscriptFormatError,
     announce_bases,
     bob_pairing_views,
     extract_key,
@@ -241,4 +247,102 @@ def reference_duplex_session(config) -> dict:
         "key_triples": key_triples,
         "alice_key": extract_key(key_triples, alice_bits),
         "bob_key": extract_key(key_triples, party_bit_map(transcript, "bob")),
+    }
+
+
+def _reference_row(line_number: int, fields: list[str]) -> SlotRecord:
+    if len(fields) != 6:
+        raise TranscriptFormatError(
+            line_number, f"expected 6 columns, got {len(fields)}"
+        )
+    raw_t, raw_dir, raw_sb, raw_sbit, raw_rb, raw_rbit = fields
+    try:
+        timeslot = int(raw_t)
+    except ValueError:
+        raise TranscriptFormatError(line_number, f"bad timeslot {raw_t!r}") from None
+    if timeslot < 1:
+        raise TranscriptFormatError(line_number, f"timeslot must be positive, got {timeslot}")
+    try:
+        direction = Direction(raw_dir)
+    except ValueError:
+        raise TranscriptFormatError(line_number, f"bad direction {raw_dir!r}") from None
+    try:
+        sender_basis = Basis(raw_sb)
+        receiver_basis = Basis(raw_rb)
+    except ValueError:
+        raise TranscriptFormatError(
+            line_number, f"bad basis in {raw_sb!r}/{raw_rb!r}"
+        ) from None
+    if raw_sbit not in ("0", "1"):
+        raise TranscriptFormatError(line_number, f"bad sender bit {raw_sbit!r}")
+    if raw_rbit == "LOST":
+        receiver_bit = None
+    elif raw_rbit in ("0", "1"):
+        receiver_bit = int(raw_rbit)
+    else:
+        raise TranscriptFormatError(line_number, f"bad receiver bit {raw_rbit!r}")
+    return SlotRecord(
+        timeslot, direction, sender_basis, int(raw_sbit), receiver_basis, receiver_bit
+    )
+
+
+def reference_parse_transcript(text: str) -> Transcript:
+    """The transcript grammar parsed one row at a time into records.
+
+    Each data line becomes one ``SlotRecord`` in line order; the first row
+    that breaks the grammar or repeats an earlier timeslot raises.  The
+    records are then sorted by timeslot.
+    """
+    records: list[SlotRecord] = []
+    seen: set[int] = set()
+    for line_number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        record = _reference_row(line_number, line.split())
+        if record.timeslot in seen:
+            raise TranscriptFormatError(
+                line_number, f"duplicate timeslot {record.timeslot}"
+            )
+        seen.add(record.timeslot)
+        records.append(record)
+    records.sort(key=lambda r: r.timeslot)
+    return Transcript(tuple(records), "file")
+
+
+def reference_replay_payload(transcript: Transcript, variant: str) -> dict:
+    """The replay report composed from the dict/tuple step functions.
+
+    No abort: every pair that passes its check contributes a key bit.
+    """
+    alice_bases = announce_bases(transcript, "alice")
+    bob_bases = announce_bases(transcript, "bob")
+    partition = filter_sets(transcript, alice_bases, bob_bases)
+    set2_view, set3_view = bob_pairing_views(transcript, partition)
+    if variant == "flip_triples":
+        pairing = make_triples_flip(set2_view, set3_view)
+        triples, unpaired = pairing.triples, pairing.unpaired
+    else:
+        pairing = make_pairs_search(set2_view, set3_view)
+        triples = pairing.as_triples()
+        unpaired = tuple(pairing.unmatched_set2) + tuple(pairing.unused_set3)
+    verification = verify_triples(party_bit_map(transcript, "alice"), triples)
+    failed = set(verification.failures)
+    key_triples = [t for t in triples if t not in failed]
+    alice_key = extract_key(key_triples, party_bit_map(transcript, "alice"))
+    bob_key = extract_key(key_triples, party_bit_map(transcript, "bob"))
+    return {
+        "n_timeslots": len(transcript),
+        "variant": variant,
+        "discard": sorted(partition.discard),
+        "set2": list(partition.set2),
+        "set3": list(partition.set3),
+        "triples": [list(t.announced()) for t in triples],
+        "unpaired": sorted(unpaired),
+        "checked_pairs": verification.checked_pairs,
+        "failures": [list(t.announced()) for t in verification.failures],
+        "passed": verification.passed,
+        "alice_key": alice_key,
+        "bob_key": bob_key,
+        "keys_agree": alice_key == bob_key,
     }

@@ -206,3 +206,43 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "keys_agree: yes" in result.stdout
+
+
+def test_replay_non_ascii_byte_names_the_line(tmp_path, capsys):
+    path = tmp_path / "accent.transcript"
+    path.write_bytes(b"# header\r\n1 A>B X 1 X 1\n2 B>A X 0 X 0 # caf\xc3\xa9\n")
+    assert run_cli("replay", str(path)) == 1
+    assert capsys.readouterr().err == f"duplexqkd: {path}: line 3: non-ASCII byte 0xc3\n"
+
+
+def test_replay_sorts_rows_by_timeslot(tmp_path, capsys):
+    lines = example_transcript_path().read_text().splitlines()
+    shuffled = tmp_path / "shuffled.transcript"
+    shuffled.write_text("\n".join(lines[:1] + lines[:0:-1]) + "\n")
+    assert run_cli("replay", str(example_transcript_path())) == 0
+    in_order = capsys.readouterr().out
+    assert run_cli("replay", str(shuffled)) == 0
+    assert capsys.readouterr().out == in_order
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--timeslots", "20", "--out", "{blocked}/out"],
+        ["sweep", "--timeslots", "20", "--intercept", "0,1", "--out", "{blocked}/out"],
+        ["replay", str(example_transcript_path()), "--json", "{blocked}/replay.json"],
+    ],
+    ids=["run", "sweep", "replay"],
+)
+def test_unwritable_output_is_one_line_and_exit_1(tmp_path, argv):
+    blocked = tmp_path / "a-file"
+    blocked.write_text("not a directory\n")
+    argv = [a.replace("{blocked}", str(blocked)) for a in argv]
+    result = subprocess.run(
+        [sys.executable, "-m", "duplexqkd.cli", *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith(f"duplexqkd: cannot write {blocked}/")
+    assert line.rsplit(": ", 1)[1] in ("Not a directory", "File exists")
