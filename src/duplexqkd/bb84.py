@@ -20,15 +20,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .adversary import EveRecord, EveStrategy
 from .quantum import Bit, ChannelModel
 from .rng import seeded_rng, session_generator
-from .transmission import SlotColumns, SlotRecord, intercept_records, slot_records, transmit_columns
+from .transmission import SlotColumns, SlotRecord, intercept_records, slot_records, transmit_sessions
 
-__all__ = ["Bb84Config", "Bb84Outcome", "run_bb84", "sift"]
+__all__ = [
+    "Bb84Config", "Bb84Outcome", "Bb84Sessions", "error_estimate", "run_bb84_sessions", "run_bb84",
+    "sift",
+]
 
 
 def sift(records: list[SlotRecord]) -> list[SlotRecord]:
@@ -72,7 +76,7 @@ class Bb84Config:
 
 
 class Bb84Outcome:
-    """Result of one baseline session.
+    """Result of one baseline session, ``batch``, a batch of one.
 
     ``key_timeslots`` maps the renumbered key positions back to original
     timeslots (entry i is the origin of key bit i), so reports can always
@@ -81,84 +85,126 @@ class Bb84Outcome:
     count properties never build them.
     """
 
-    def __init__(
-        self,
-        columns: SlotColumns,
-        sifted: np.ndarray,
-        sampled: np.ndarray,
-        kept: np.ndarray,
-        sample_errors: int,
-        detection_threshold: float,
-    ):
-        self.columns = columns
-        self._sifted, self._sampled, self._kept = sifted, sampled, kept
-        self.sample_errors = sample_errors
-        self.estimated_error_rate = sample_errors / len(sampled) if len(sampled) else 0.0
-        self.detected = self.estimated_error_rate > detection_threshold
+    def __init__(self, batch: Bb84Sessions, detection_threshold: float):
+        self.batch = batch
+        self.columns = batch.columns
+        self.sample_errors = int(batch.sample_errors[0])
+        self.estimated_error_rate, self.detected = error_estimate(
+            self.sample_errors, self.sampled_count, detection_threshold
+        )
 
     @property
     def sifted_count(self) -> int:
-        return len(self._sifted)
+        return int(self.batch.sifted_count[0])
 
     @property
     def sampled_count(self) -> int:
-        return len(self._sampled)
+        return int(self.batch.sampled_count[0])
 
     @property
     def key_length(self) -> int:
-        return len(self._kept)
+        return len(self.batch.kept)
 
     @property
     def keys_agree(self) -> bool:
-        c = self.columns
-        return bool(np.array_equal(c.sender_bit[self._kept], c.receiver_bit[self._kept]))
+        return not self.batch.key_errors[0]
 
     @cached_property
     def sifted_records(self) -> list[SlotRecord]:
         records = slot_records(self.columns)
-        return [records[i] for i in self._sifted.tolist()]
+        return [records[i] for i in self.batch.sifted.tolist()]
 
     @cached_property
     def sampled_timeslots(self) -> list[int]:
-        return (self._sampled + 1).tolist()
+        return (self.batch.sampled + 1).tolist()
 
     @cached_property
     def key_bits_alice(self) -> list[Bit]:
-        return self.columns.sender_bit[self._kept].tolist()
+        return self.columns.sender_bit[self.batch.kept].tolist()
 
     @cached_property
     def key_bits_bob(self) -> list[Bit]:
-        return self.columns.receiver_bit[self._kept].tolist()
+        return self.columns.receiver_bit[self.batch.kept].tolist()
 
     @cached_property
     def key_timeslots(self) -> list[int]:
-        return (self._kept + 1).tolist()
+        return (self.batch.kept + 1).tolist()
 
     @cached_property
     def eve_records(self) -> tuple[EveRecord, ...]:
         return intercept_records(self.columns)
 
 
-def run_bb84(config: Bb84Config) -> Bb84Outcome:
-    """Run one complete baseline session.
+def error_estimate(errors: int, sampled: int, detection_threshold: float) -> tuple[float, bool]:
+    """The sample's error rate, and whether it exceeds the detection threshold."""
+    rate = errors / sampled if sampled else 0.0
+    return rate, rate > detection_threshold
 
-    The slots come from ``transmit_columns`` with Alice sending in every
-    slot, on ``session_generator(seeded_rng(config.seed))``; the same
-    generator then draws the compared sample.
+
+class Bb84Sessions(NamedTuple):
+    """A batch of baseline sessions of ``n`` slots each.
+
+    ``columns`` are the sessions' slots back to back (session ``j`` holds
+    entries ``j * n`` to ``(j + 1) * n``); ``sifted``, ``sampled`` and
+    ``kept`` are slot indices into them, in session order.  The count
+    arrays have one entry per session.
     """
-    gen = session_generator(seeded_rng(config.seed))
-    alice_sends = np.ones(config.n_timeslots, dtype=bool)
-    columns = transmit_columns(gen, alice_sends, config.channel, config.eve)
+
+    columns: SlotColumns
+    sifted: np.ndarray
+    sampled: np.ndarray
+    kept: np.ndarray
+    sifted_count: np.ndarray
+    sampled_count: np.ndarray
+    sample_errors: np.ndarray
+    key_errors: np.ndarray  # kept slots whose two bits differ
+
+
+def run_bb84_sessions(config: Bb84Config, seeds: Sequence[int]) -> Bb84Sessions:
+    """Run one baseline session of ``config`` per seed, all as one batch.
+
+    Session ``j`` draws its slots from
+    ``session_generator(seeded_rng(seeds[j]))`` through
+    ``transmit_sessions``; after the batch is sifted, the same generator
+    draws the session's compared sample, so each session is exactly the
+    one ``run_bb84`` runs for ``replace(config, seed=seeds[j])``.
+    """
+    n, count = config.n_timeslots, len(seeds)
+    gens = [session_generator(seeded_rng(seed)) for seed in seeds]
+    columns = transmit_sessions(gens, np.ones(n, dtype=bool), config.channel, config.eve)
     sifted = np.flatnonzero(
         (columns.receiver_bit >= 0) & (columns.sender_basis == columns.receiver_basis)
     )
+    session = sifted // n
+    sifted_count = np.bincount(session, minlength=count)
 
-    if config.sample_count is not None:
-        sample_size = min(config.sample_count, len(sifted))
-    else:
-        sample_size = min(math.ceil(config.sample_fraction * len(sifted)), len(sifted))
     in_sample = np.zeros(len(sifted), dtype=bool)
-    in_sample[gen.permutation(len(sifted))[:sample_size]] = True
-    sampled, kept = sifted[in_sample], sifted[~in_sample]
-    errors = int(np.count_nonzero(columns.receiver_bit[sampled] != columns.sender_bit[sampled]))
-    return Bb84Outcome(columns, sifted, sampled, kept, errors, config.detection_threshold)
+    start = 0
+    for gen, survivors in zip(gens, sifted_count.tolist()):
+        if config.sample_count is not None:
+            sample_size = min(config.sample_count, survivors)
+        else:
+            sample_size = min(math.ceil(config.sample_fraction * survivors), survivors)
+        in_sample[start + gen.permutation(survivors)[:sample_size]] = True
+        start += survivors
+    wrong = columns.receiver_bit[sifted] != columns.sender_bit[sifted]
+    return Bb84Sessions(
+        columns,
+        sifted,
+        sifted[in_sample],
+        sifted[~in_sample],
+        sifted_count,
+        np.bincount(session[in_sample], minlength=count),
+        np.bincount(session[in_sample & wrong], minlength=count),
+        np.bincount(session[~in_sample & wrong], minlength=count),
+    )
+
+
+def run_bb84(config: Bb84Config) -> Bb84Outcome:
+    """Run one complete baseline session, as a batch of one.
+
+    The slots come from the transmission kernel with Alice sending in every
+    slot, on ``session_generator(seeded_rng(config.seed))``; the same
+    generator then draws the compared sample.
+    """
+    return Bb84Outcome(run_bb84_sessions(config, [config.seed]), config.detection_threshold)

@@ -115,6 +115,21 @@ def _add_run_options(parser: argparse.ArgumentParser, *, sweep: bool) -> None:
     )
 
 
+def _add_replay_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--variant", choices=["flip_triples", "search_pairs"], default="flip_triples"
+    )
+    parser.add_argument("--json", type=Path, default=None, help="also write the report as JSON")
+
+
+# Each subcommand's options, which a config file may set.
+_OPTIONS = {
+    "run": lambda parser: _add_run_options(parser, sweep=False),
+    "replay": _add_replay_options,
+    "sweep": lambda parser: _add_run_options(parser, sweep=True),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="duplexqkd",
@@ -124,42 +139,62 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run seeded Monte Carlo sessions")
-    _add_run_options(run, sweep=False)
+    _OPTIONS["run"](run)
 
     replay = sub.add_parser("replay", help="rerun the classical phase on a fixed transcript")
     replay.add_argument("transcript", type=Path, help="transcript file to replay")
-    replay.add_argument(
-        "--variant", choices=["flip_triples", "search_pairs"], default="flip_triples"
-    )
-    replay.add_argument("--json", type=Path, default=None, help="also write the report as JSON")
+    _OPTIONS["replay"](replay)
 
     sweep = sub.add_parser("sweep", help="cross a parameter grid, one aggregate per cell")
-    _add_run_options(sweep, sweep=True)
+    _OPTIONS["sweep"](sweep)
     return parser
 
 
-def _config_file_argv(path: Path) -> list[str]:
-    """Turn a key = value file into argv tokens placed before the real flags."""
+class _ConfigError(Exception):
+    """A config-file line that does not parse; exits with status 2."""
+
+
+class _EntryParser(argparse.ArgumentParser):
+    """Parses the tokens of one config-file line, raising instead of exiting."""
+
+    def error(self, message: str):
+        raise _ConfigError(message)
+
+
+def _config_file_argv(path: Path, command: str) -> list[str]:
+    """Turn a key = value file into argv tokens placed before the real flags.
+
+    Each line is parsed on its own with ``command``'s options, so a bad key
+    or value is reported with the file and line it came from.
+    """
     argv: list[str] = []
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise SystemExit(f"duplexqkd: cannot read config file: {exc}")
+    entry_parser = _EntryParser(add_help=False)
+    _OPTIONS[command](entry_parser)
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise SystemExit(
-                f"duplexqkd: {path}:{line_number}: expected 'key = value', got {raw!r}"
-            )
+            raise _ConfigError(f"{path}:{line_number}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        if value.lower() in ("true", "false"):
-            if value.lower() == "true":
-                argv.append(flag)
-        else:
-            argv.extend([flag, value])
+        # A true/false value switches a flag: checked alone, given only if true.
+        switch = value.lower() in ("true", "false")
+        tokens = [flag] if switch else [flag, value]
+        try:
+            extras = entry_parser.parse_known_args(tokens)[1]
+        except _ConfigError as exc:
+            raise _ConfigError(f"{path}:{line_number}: {exc}") from None
+        if extras:
+            unknown = extras[0] == flag
+            problem = f"unknown key {key!r}" if unknown else f"{key}: unexpected value {value!r}"
+            raise _ConfigError(f"{path}:{line_number}: {problem}")
+        if not switch or value.lower() == "true":
+            argv.extend(tokens)
     return argv
 
 
@@ -335,7 +370,6 @@ def main(argv: list[str] | None = None) -> int:
     pre.add_argument("--config", type=Path, default=None)
     known, _ = pre.parse_known_args(argv)
     if known.config is not None:
-        file_argv = _config_file_argv(known.config)
         insert_at = None
         skip_next = False
         for i, token in enumerate(argv):
@@ -352,7 +386,14 @@ def main(argv: list[str] | None = None) -> int:
         if insert_at is None:
             print("duplexqkd: --config given without a subcommand", file=sys.stderr)
             return 2
-        argv = argv[:insert_at] + file_argv + argv[insert_at:]
+        command = argv[insert_at - 1]
+        if command in _OPTIONS:  # otherwise the parser below reports the subcommand
+            try:
+                file_argv = _config_file_argv(known.config, command)
+            except _ConfigError as exc:
+                print(f"duplexqkd: {exc}", file=sys.stderr)
+                return 2
+            argv = argv[:insert_at] + file_argv + argv[insert_at:]
 
     args = parser.parse_args(argv)
 
@@ -372,6 +413,9 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_sweep(args)
     except _WriteError as exc:
         print(f"duplexqkd: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"duplexqkd: not enough memory: {exc or 'allocation failed'}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"duplexqkd: {exc}", file=sys.stderr)

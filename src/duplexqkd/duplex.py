@@ -23,11 +23,12 @@ The wire form of a published pair orders the two timeslots with the later
 one first; either party recovers the set-2/set-3 roles from the slot
 directions, so the order carries no information.
 
-``run_duplex_session`` runs the whole session on the array columns of the
-shared ``transmission`` kernel: filtering is a mask, flip pairing zips two
-index arrays, search pairing is a per-bit FIFO, verification is an XOR
-compare and key extraction a gather.  ``classical_phase`` is that exchange
-on its own; replay runs it on a parsed transcript's columns.  The dict/tuple
+``run_duplex_sessions`` runs a batch of whole sessions on the array columns
+of the shared ``transmission`` kernel: filtering is a mask, flip pairing
+zips two index arrays, search pairing is a per-bit FIFO, verification is an
+XOR compare and key extraction a gather, each session ranked apart from the
+others; ``run_duplex_session`` is a batch of one.  ``classical_phase`` is
+that exchange on its own; replay runs it on a parsed transcript's columns.  The dict/tuple
 step functions below (``filter_sets``, ``make_triples_flip``,
 ``verify_triples``, ...) are the reference statement of each step; the
 tests and the worked-example demo use them.
@@ -58,6 +59,7 @@ from .transmission import (
     intercept_records,
     slot_records,
     transmit_columns,
+    transmit_sessions,
 )
 
 __all__ = [
@@ -72,6 +74,7 @@ __all__ = [
     "DuplexConfig",
     "DuplexSessionResult",
     "ClassicalPhase",
+    "SessionCounts",
     "TranscriptFormatError",
     "run_duplex_transmission",
     "announce_bases",
@@ -85,6 +88,7 @@ __all__ = [
     "verify_triples",
     "extract_key",
     "classical_phase",
+    "run_duplex_sessions",
     "run_duplex_session",
     "read_transcript",
     "parse_transcript",
@@ -546,12 +550,25 @@ class DuplexConfig:
             raise ValueError("max_pairs must be non-negative")
 
 
+class SessionCounts(NamedTuple):
+    """Per-session tallies of a classical phase, one entry per session."""
+
+    sifted: np.ndarray  # set 2 plus set 3
+    checked: np.ndarray
+    failures: np.ndarray
+    unpaired: np.ndarray
+    key_length: np.ndarray
+    key_errors: np.ndarray  # key positions where Alice's and Bob's bits differ
+
+
 class ClassicalPhase(NamedTuple):
-    """The classical phase of one exchange on slot-index arrays.
+    """The classical phase of a batch of exchanges on slot-index arrays.
 
     Slot arrays hold 0-based indices into the columns the phase ran on (for
-    a session, timeslot - 1); pair arrays have one entry per published pair,
-    in publication order.
+    a batch of sessions, ``j * n + timeslot - 1`` in session ``j``), in
+    session order; pair arrays have one entry per published pair, in
+    publication order within each session.  ``aborted`` and ``counts`` have
+    one entry per session.
     """
 
     discard: np.ndarray  # Bob's discard reply, as a mask over slots
@@ -565,7 +582,8 @@ class ClassicalPhase(NamedTuple):
     key: np.ndarray  # per pair: contributes a key bit
     alice_key: np.ndarray
     bob_key: np.ndarray
-    aborted: bool
+    aborted: np.ndarray
+    counts: SessionCounts
 
 
 def _timeslots(slots: np.ndarray) -> list[int]:
@@ -575,9 +593,10 @@ def _timeslots(slots: np.ndarray) -> list[int]:
 class DuplexSessionResult:
     """Full trace of one duplex session, public messages included.
 
-    The session itself runs on the array columns of ``columns``; the object
-    form (transcript, partition, triples, announcements, verification, keys)
-    is built from them the first time each field is read.  The announcement
+    The session itself runs on the array columns of ``columns``, and
+    ``phase`` is its classical phase, a batch of one; the object form
+    (transcript, partition, triples, announcements, verification, keys) is
+    built from them the first time each field is read.  The announcement
     fields hold exactly what crossed the classical channel (and is therefore
     visible to Eve): Alice's bases, Bob's discard reply, and Bob's published
     pair list in wire form.  The count properties answer report questions
@@ -587,9 +606,9 @@ class DuplexSessionResult:
     def __init__(self, config: DuplexConfig, columns: SlotColumns, phase: ClassicalPhase):
         self.config = config
         self.columns = columns
-        self._phase = phase
-        self.aborted = phase.aborted
-        self.detected = phase.aborted
+        self.phase = phase
+        self.aborted = bool(phase.aborted[0])
+        self.detected = self.aborted
 
     @property
     def n_timeslots(self) -> int:
@@ -597,27 +616,27 @@ class DuplexSessionResult:
 
     @property
     def sifted(self) -> int:
-        return len(self._phase.set2) + len(self._phase.set3)
+        return int(self.phase.counts.sifted[0])
 
     @property
     def checked_pairs(self) -> int:
-        return len(self._phase.t2)
+        return int(self.phase.counts.checked[0])
 
     @property
     def failure_count(self) -> int:
-        return int(np.count_nonzero(self._phase.failed))
+        return int(self.phase.counts.failures[0])
 
     @property
     def unpaired_count(self) -> int:
-        return len(self._phase.unpaired)
+        return int(self.phase.counts.unpaired[0])
 
     @property
     def key_length(self) -> int:
-        return len(self._phase.alice_key)
+        return int(self.phase.counts.key_length[0])
 
     @property
     def keys_agree(self) -> bool:
-        return bool(np.array_equal(self._phase.alice_key, self._phase.bob_key))
+        return not self.phase.counts.key_errors[0]
 
     @cached_property
     def transcript(self) -> Transcript:
@@ -635,7 +654,7 @@ class DuplexSessionResult:
 
     @cached_property
     def partition(self) -> SetPartition:
-        p = self._phase
+        p = self.phase
         return SetPartition(
             frozenset(_timeslots(np.flatnonzero(p.discard))),
             tuple(_timeslots(p.set2)),
@@ -648,7 +667,7 @@ class DuplexSessionResult:
 
     @cached_property
     def triples(self) -> tuple[Triple, ...]:
-        p = self._phase
+        p = self.phase
         return tuple(
             Triple(t2, t3, flip)
             for t2, t3, flip in zip(_timeslots(p.t2), _timeslots(p.t3), p.flip.tolist())
@@ -660,70 +679,102 @@ class DuplexSessionResult:
 
     @cached_property
     def unpaired(self) -> tuple[int, ...]:
-        return tuple(_timeslots(self._phase.unpaired))
+        return tuple(_timeslots(self.phase.unpaired))
 
     @cached_property
     def verification(self) -> VerificationResult:
-        failed = self._phase.failed.tolist()
+        failed = self.phase.failed.tolist()
         return VerificationResult(
             self.checked_pairs, tuple(t for t, bad in zip(self.triples, failed) if bad)
         )
 
     @cached_property
     def key_triples(self) -> tuple[Triple, ...]:
-        key = self._phase.key.tolist()
+        key = self.phase.key.tolist()
         return tuple(t for t, keep in zip(self.triples, key) if keep)
 
     @cached_property
     def alice_key(self) -> list[Bit]:
-        return self._phase.alice_key.tolist()
+        return self.phase.alice_key.tolist()
 
     @cached_property
     def bob_key(self) -> list[Bit]:
-        return self._phase.bob_key.tolist()
+        return self.phase.bob_key.tolist()
+
+
+def _ranks(session: np.ndarray, sessions: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's rank within its session, and the per-session counts.
+
+    ``session`` holds the session of each entry, entries grouped by session.
+    """
+    counts = np.bincount(session, minlength=sessions)
+    return np.arange(len(session)) - (np.cumsum(counts) - counts)[session], counts
+
+
+def _zip_sessions(
+    a: np.ndarray, b: np.ndarray, n: int, sessions: int
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Pair the k-th slot of ``a`` with the k-th slot of ``b`` in each session.
+
+    ``a`` and ``b`` are sorted slot indices of sessions of ``n`` slots; a
+    session pairs as many slots as the shorter of its two lists holds.
+    Returns the paired slots of each list and the leftovers.
+    """
+    session_a, session_b = a // n, b // n
+    rank_a, count_a = _ranks(session_a, sessions)
+    rank_b, count_b = _ranks(session_b, sessions)
+    paired = np.minimum(count_a, count_b)
+    keep_a, keep_b = rank_a < paired[session_a], rank_b < paired[session_b]
+    return a[keep_a], b[keep_b], [a[~keep_a], b[~keep_b]]
 
 
 def _fifo_pairs(
-    set2: np.ndarray, set3: np.ndarray, bits: np.ndarray
+    set2: np.ndarray, set3: np.ndarray, bits: np.ndarray, n: int, sessions: int
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Search pairing on index arrays: ``make_pairs_search``'s per-bit FIFO.
 
-    The k-th set-2 slot with bit b takes the k-th set-3 slot with bit b;
-    pairs come out in set-2 order, plus the unmatched and unused slots.
+    In each session the k-th set-2 slot with bit b takes the k-th set-3
+    slot with bit b; pairs come out in set-2 order, which is session order,
+    plus the unmatched and unused slots.
     """
     t2s, t3s, leftovers = [], [], []
     bits2, bits3 = bits[set2], bits[set3]
     for b in (0, 1):
-        s2, s3 = set2[bits2 == b], set3[bits3 == b]
-        m = min(len(s2), len(s3))
-        t2s.append(s2[:m])
-        t3s.append(s3[:m])
-        leftovers += [s2[m:], s3[m:]]
+        t2, t3, rest = _zip_sessions(set2[bits2 == b], set3[bits3 == b], n, sessions)
+        t2s.append(t2)
+        t3s.append(t3)
+        leftovers += rest
     t2, t3 = np.concatenate(t2s), np.concatenate(t3s)
     order = np.argsort(t2)
     return t2[order], t3[order], leftovers
 
 
 def _bob_publish(
-    variant: str, max_pairs: int | None, columns: SlotColumns, bob_bit: np.ndarray
+    variant: str,
+    max_pairs: int | None,
+    columns: SlotColumns,
+    bob_bit: np.ndarray,
+    n: int,
+    sessions: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Bob's side: filter into discard/set 2/set 3, pair, truncate.
 
     Returns the discard mask, sets 2 and 3, the paired set-2 and set-3
-    slots, and the sorted unpaired slots.
+    slots, and the sorted unpaired slots.  No pair spans two sessions, and
+    ``max_pairs`` caps the pairs of each session.
     """
     discard = (columns.receiver_bit < 0) | (columns.sender_basis != columns.receiver_basis)
     kept = ~discard
     set2 = np.flatnonzero(kept & columns.alice_sends)
     set3 = np.flatnonzero(kept & ~columns.alice_sends)
     if variant == "flip_triples":
-        m = min(len(set2), len(set3))
-        t2, t3, leftovers = set2[:m], set3[:m], [set2[m:], set3[m:]]
+        t2, t3, leftovers = _zip_sessions(set2, set3, n, sessions)
     else:
-        t2, t3, leftovers = _fifo_pairs(set2, set3, bob_bit)
-    if max_pairs is not None and len(t2) > max_pairs:
-        leftovers += [t2[max_pairs:], t3[max_pairs:]]
-        t2, t3 = t2[:max_pairs], t3[:max_pairs]
+        t2, t3, leftovers = _fifo_pairs(set2, set3, bob_bit, n, sessions)
+    if max_pairs is not None:
+        surplus = _ranks(t2 // n, sessions)[0] >= max_pairs
+        leftovers += [t2[surplus], t3[surplus]]
+        t2, t3 = t2[~surplus], t3[~surplus]
     return discard, set2, set3, t2, t3, np.sort(np.concatenate(leftovers))
 
 
@@ -758,6 +809,7 @@ def classical_phase(
     failure_threshold: float = 0.0,
     max_pairs: int | None = None,
     keep_searched_key: bool = True,
+    sessions: int = 1,
 ) -> ClassicalPhase:
     """The classical exchange on a session's columns, message by message.
 
@@ -769,45 +821,66 @@ def classical_phase(
     directions, verifies it, applies the failure policy and reads her key
     bits.  Bob reads his key bits from his own records once she announces
     which pairs failed.
+
+    The columns may hold ``sessions`` equal-length sessions back to back.
+    Each is an exchange of its own: pairs never cross a session boundary,
+    and ``max_pairs`` and the failure policy apply per session.
     """
+    if sessions < 1 or len(columns) % sessions:
+        raise ValueError(f"{len(columns)} slots do not split into {sessions} equal sessions")
+    n = max(len(columns) // sessions, 1)
     alice_sends = columns.alice_sends
     alice_bit = np.where(alice_sends, columns.sender_bit, columns.receiver_bit)
     bob_bit = np.where(alice_sends, columns.receiver_bit, columns.sender_bit)
 
     # Bob's side.
-    discard, set2, set3, t2, t3, unpaired = _bob_publish(variant, max_pairs, columns, bob_bit)
+    discard, set2, set3, t2, t3, unpaired = _bob_publish(
+        variant, max_pairs, columns, bob_bit, n, sessions
+    )
     flip = bob_bit[t2] ^ bob_bit[t3]
     wire = (np.maximum(t2, t3), np.minimum(t2, t3), flip)
 
     # Alice's side.
     alice_t2, failed = _alice_check(discard, wire, alice_sends, alice_bit)
-    checked = len(failed)
-    failures = int(np.count_nonzero(failed))
+    session = alice_t2 // n
+    checked = np.bincount(session, minlength=sessions)
+    failures = np.bincount(session[failed], minlength=sessions)
     if failure_policy == "abort":
         aborted = failures > 0
     else:
-        aborted = (failures / checked if checked else 0.0) > failure_threshold
+        rate = np.divide(failures, checked, out=np.zeros(sessions), where=checked > 0)
+        aborted = rate > failure_threshold
 
     keyed = variant == "flip_triples" or keep_searched_key
-    key = ~failed if keyed and not aborted else np.zeros(checked, dtype=bool)
+    key = ~failed & ~aborted[session] if keyed else np.zeros(len(failed), dtype=bool)
+    alice_key, bob_key = alice_bit[alice_t2[key]], bob_bit[t2[key]]
+    key_session = session[key]
+    counts = SessionCounts(
+        sifted=np.bincount(set2 // n, minlength=sessions) + np.bincount(set3 // n, minlength=sessions),
+        checked=checked,
+        failures=failures,
+        unpaired=np.bincount(unpaired // n, minlength=sessions),
+        key_length=np.bincount(key_session, minlength=sessions),
+        key_errors=np.bincount(key_session[alice_key != bob_key], minlength=sessions),
+    )
     return ClassicalPhase(
-        discard, set2, set3, t2, t3, flip, unpaired, failed, key,
-        alice_key=alice_bit[alice_t2[key]],
-        bob_key=bob_bit[t2[key]],
-        aborted=aborted,
+        discard, set2, set3, t2, t3, flip, unpaired, failed, key, alice_key, bob_key,
+        aborted, counts,
     )
 
 
-def run_duplex_session(config: DuplexConfig) -> DuplexSessionResult:
-    """Execute one complete duplex session: quantum phase through key bits.
+def run_duplex_sessions(
+    config: DuplexConfig, seeds: Sequence[int]
+) -> tuple[SlotColumns, ClassicalPhase]:
+    """Run one session of ``config`` per seed, all as one batch.
 
-    The quantum phase is ``transmit_columns`` on
-    ``session_generator(seeded_rng(config.seed))``, the stream
-    ``run_duplex_transmission`` draws for that rng; ``classical_phase``
-    then runs the classical exchange on its columns.
+    Session ``j`` draws from ``session_generator(seeded_rng(seeds[j]))``
+    and takes entries ``j * n`` to ``(j + 1) * n`` of the batch's columns;
+    ``transmit_sessions`` and ``classical_phase`` keep the sessions apart,
+    so each is exactly the session of ``replace(config, seed=seeds[j])``.
     """
-    columns = transmit_columns(
-        session_generator(seeded_rng(config.seed)),
+    columns = transmit_sessions(
+        [session_generator(seeded_rng(seed)) for seed in seeds],
         _direction_mask(config.n_timeslots, config.interleaving)[0],
         config.channel,
         config.eve,
@@ -819,8 +892,21 @@ def run_duplex_session(config: DuplexConfig) -> DuplexSessionResult:
         failure_threshold=config.failure_threshold,
         max_pairs=config.max_pairs,
         keep_searched_key=config.keep_searched_key,
+        sessions=len(seeds),
     )
-    return DuplexSessionResult(config, columns, phase)
+    return columns, phase
+
+
+def run_duplex_session(config: DuplexConfig) -> DuplexSessionResult:
+    """Execute one complete duplex session: quantum phase through key bits.
+
+    The session is a batch of one of ``run_duplex_sessions``: the quantum
+    phase is ``transmit_columns`` on
+    ``session_generator(seeded_rng(config.seed))``, the stream
+    ``run_duplex_transmission`` draws for that rng; ``classical_phase``
+    then runs the classical exchange on its columns.
+    """
+    return DuplexSessionResult(config, *run_duplex_sessions(config, [config.seed]))
 
 
 # --------------------------------------------------------------------------

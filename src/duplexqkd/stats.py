@@ -25,8 +25,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .adversary import EveKind, EveRecord, EveStrategy
-from .bb84 import Bb84Config, Bb84Outcome, run_bb84
-from .duplex import DuplexConfig, DuplexSessionResult, Triple, run_duplex_session
+from .bb84 import Bb84Config, Bb84Outcome, Bb84Sessions, error_estimate, run_bb84_sessions
+from .duplex import ClassicalPhase, DuplexConfig, DuplexSessionResult, Triple, run_duplex_sessions
 from .quantum import Basis, ChannelModel
 from .rng import derive_seed
 
@@ -142,30 +142,39 @@ def report_from_duplex(
     session_index: int | None = None,
     seed: int | None = None,
 ) -> SessionReport:
-    checked = result.checked_pairs
-    failures = result.failure_count
-    return SessionReport(
-        protocol="duplex",
-        n_timeslots=result.n_timeslots,
-        sifted=result.sifted,
-        sifted_or_paired=checked,
-        failures=failures,
-        estimated_error_rate=failures / checked if checked else 0.0,
-        key_length=result.key_length,
-        keys_agree=result.keys_agree,
-        eve_pair_bits_revealed=checked,
-        detected=result.detected,
-        aborted=result.aborted,
-        unpaired=result.unpaired_count,
-        variant=result.config.variant,
-        keyed_search_pairs=(
-            result.config.keep_searched_key
-            if result.config.variant == "search_pairs"
-            else None
-        ),
-        session_index=session_index,
-        seed=seed,
-    )
+    return _duplex_reports(result.config, result.phase, [session_index], [seed])[0]
+
+
+def _duplex_reports(
+    config: DuplexConfig, phase: ClassicalPhase, indices: Sequence, seeds: Sequence
+) -> list[SessionReport]:
+    """One report per session of a batch's classical phase."""
+    c = phase.counts
+    keyed_search_pairs = config.keep_searched_key if config.variant == "search_pairs" else None
+    return [
+        SessionReport(
+            protocol="duplex",
+            n_timeslots=config.n_timeslots,
+            sifted=sifted,
+            sifted_or_paired=checked,
+            failures=failures,
+            estimated_error_rate=failures / checked if checked else 0.0,
+            key_length=key_length,
+            keys_agree=key_errors == 0,
+            eve_pair_bits_revealed=checked,
+            detected=aborted,
+            aborted=aborted,
+            unpaired=unpaired,
+            variant=config.variant,
+            keyed_search_pairs=keyed_search_pairs,
+            session_index=index,
+            seed=seed,
+        )
+        for index, seed, sifted, checked, failures, unpaired, key_length, key_errors, aborted in zip(
+            indices, seeds, c.sifted.tolist(), c.checked.tolist(), c.failures.tolist(),
+            c.unpaired.tolist(), c.key_length.tolist(), c.key_errors.tolist(), phase.aborted.tolist(),
+        )
+    ]
 
 
 def report_from_bb84(
@@ -174,22 +183,37 @@ def report_from_bb84(
     session_index: int | None = None,
     seed: int | None = None,
 ) -> SessionReport:
-    sampled = outcome.sampled_count
-    return SessionReport(
-        protocol="bb84",
-        n_timeslots=config.n_timeslots,
-        sifted=outcome.sifted_count,
-        sifted_or_paired=outcome.sifted_count,
-        failures=outcome.sample_errors,
-        estimated_error_rate=outcome.estimated_error_rate,
-        key_length=outcome.key_length,
-        keys_agree=outcome.keys_agree,
-        eve_pair_bits_revealed=sampled,
-        detected=outcome.detected,
-        sampled=sampled,
-        session_index=session_index,
-        seed=seed,
-    )
+    return _bb84_reports(config, outcome.batch, [session_index], [seed])[0]
+
+
+def _bb84_reports(
+    config: Bb84Config, batch: Bb84Sessions, indices: Sequence, seeds: Sequence
+) -> list[SessionReport]:
+    """One report per session of a batch of baseline sessions."""
+    reports = []
+    for index, seed, sifted, sampled, errors, key_errors in zip(
+        indices, seeds, batch.sifted_count.tolist(), batch.sampled_count.tolist(),
+        batch.sample_errors.tolist(), batch.key_errors.tolist(),
+    ):
+        rate, detected = error_estimate(errors, sampled, config.detection_threshold)
+        reports.append(
+            SessionReport(
+                protocol="bb84",
+                n_timeslots=config.n_timeslots,
+                sifted=sifted,
+                sifted_or_paired=sifted,
+                failures=errors,
+                estimated_error_rate=rate,
+                key_length=sifted - sampled,
+                keys_agree=key_errors == 0,
+                eve_pair_bits_revealed=sampled,
+                detected=detected,
+                sampled=sampled,
+                session_index=index,
+                seed=seed,
+            )
+        )
+    return reports
 
 
 # --------------------------------------------------------------------------
@@ -369,17 +393,29 @@ def binomial_interval(successes: int, n: int, confidence: float = 0.95) -> tuple
 # Monte Carlo batches
 # --------------------------------------------------------------------------
 
-def _run_one(
+# Slots one batch of sessions holds at most; a longer session is a batch of
+# its own.  A batch's coin buffer is 9 bools per slot.
+BATCH_SLOTS = 1 << 16
+
+
+def _run_chunk(
     protocol: str,
     config: Bb84Config | DuplexConfig,
-    index: int,
     master_seed: int,
-) -> SessionReport:
-    seed = derive_seed(master_seed, index)
-    cfg = replace(config, seed=seed)
-    if protocol == "bb84":
-        return report_from_bb84(run_bb84(cfg), cfg, session_index=index, seed=seed)
-    return report_from_duplex(run_duplex_session(cfg), session_index=index, seed=seed)
+    start: int,
+    stop: int,
+) -> list[SessionReport]:
+    """Reports of sessions ``start`` to ``stop - 1``, in batches of at most ``BATCH_SLOTS`` slots."""
+    per_batch = max(1, BATCH_SLOTS // config.n_timeslots)
+    reports = []
+    for first in range(start, stop, per_batch):
+        indices = range(first, min(first + per_batch, stop))
+        seeds = [derive_seed(master_seed, k) for k in indices]
+        if protocol == "bb84":
+            reports += _bb84_reports(config, run_bb84_sessions(config, seeds), indices, seeds)
+        else:
+            reports += _duplex_reports(config, run_duplex_sessions(config, seeds)[1], indices, seeds)
+    return reports
 
 
 def effective_workers(requested: int, sessions: int, cpus: int | None) -> int:
@@ -403,29 +439,33 @@ def run_sessions(
 ) -> list[SessionReport]:
     """Run independent sessions; session k is seeded by derive_seed(master, k).
 
-    With more than one effective worker (see ``effective_workers``) sessions
-    are dispatched to ``pool``, or to a process pool made for this call when
-    none is given; results come back in session-index order either way.
+    Sessions run in batches through one transmission kernel call and one
+    classical phase each; every session still draws from its own seeded
+    generator, so batching changes no report.  With more than one effective
+    worker (see ``effective_workers``) contiguous chunks of about
+    ``sessions / (4 * workers)`` sessions are dispatched to ``pool``, or to
+    a process pool made for this call when none is given; results come back
+    in session-index order either way.
     """
     if protocol not in ("bb84", "duplex"):
         raise ValueError(f"unknown protocol {protocol!r}")
     if sessions < 1:
         raise ValueError("sessions must be >= 1")
     n_workers = effective_workers(workers, sessions, os.cpu_count())
-    indices = range(sessions)
     if n_workers == 1:
-        return [_run_one(protocol, config, i, master_seed) for i in indices]
+        return _run_chunk(protocol, config, master_seed, 0, sessions)
+    size = max(1, sessions // (n_workers * 4))
+    starts = range(0, sessions, size)
     with nullcontext(pool) if pool is not None else ProcessPoolExecutor(n_workers) as executor:
-        return list(
-            executor.map(
-                _run_one,
-                [protocol] * sessions,
-                [config] * sessions,
-                indices,
-                [master_seed] * sessions,
-                chunksize=max(1, sessions // (n_workers * 4)),
-            )
+        chunks = executor.map(
+            _run_chunk,
+            [protocol] * len(starts),
+            [config] * len(starts),
+            [master_seed] * len(starts),
+            starts,
+            [min(start + size, sessions) for start in starts],
         )
+        return [report for chunk in chunks for report in chunk]
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """The transmission kernel shared by both protocols.
 
-One call simulates the quantum phase of a whole session as numpy columns,
+One call simulates the quantum phase of whole sessions as numpy columns,
 one entry per timeslot.  The physics is the scalar model of ``quantum`` and
 ``adversary``, applied slot-wise to arrays:
 
@@ -12,29 +12,37 @@ one entry per timeslot.  The physics is the scalar model of ``quantum`` and
 
 All randomness of a session comes from one ``gen.random((DRAWS, n))`` block,
 row by row as laid out below, so a session is a pure function of its
-generator's seed.  ``SlotRecord`` is the per-slot object form of the same
-data, used by transcripts, replay and the reference step functions.
+generator's seed.  ``transmit_sessions`` simulates a batch of sessions,
+each drawing from its own generator, in one pass over their concatenated
+slots; ``transmit_columns`` is a batch of one.  ``SlotRecord`` is the
+per-slot object form of the same data, used by transcripts, replay and the
+reference step functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from .adversary import BasisPolicy, EveKind, EveRecord, EveStrategy
 from .quantum import Basis, Bit, ChannelModel
 
-__all__ = ["Direction", "SlotRecord", "SlotColumns", "transmit_columns", "slot_records", "intercept_records"]
+__all__ = [
+    "Direction", "SlotRecord", "SlotColumns", "transmit_columns", "transmit_sessions",
+    "slot_records", "intercept_records",
+]
 
 Party = Literal["alice", "bob"]
 
 # Column code -> basis; the int8 basis columns hold 0 for X and 1 for Y.
 BASES = (Basis.X, Basis.Y)
 
-# Rows of the per-session uniform block.  Rows 0-5 are fair coins.
+# Rows of the per-session uniform block.  Rows 0-5 are fair coins; rows 6-8
+# are compared with the intercept fraction (0 without Eve), the loss and the
+# flip probability.
 _SENDER_BASIS, _SENDER_BIT, _EVE_BASIS, _EVE_READING, _RECEIVER_BASIS, _RECEIVER_READING = range(6)
 _INTERCEPT, _LOSS, _FLIP = 6, 7, 8
 DRAWS = 9
@@ -118,27 +126,56 @@ def transmit_columns(
     eve: EveStrategy,
 ) -> SlotColumns:
     """Simulate every timeslot of one session at once."""
-    n = len(alice_sends)
-    draws = gen.random((DRAWS, n))
-    coins = (draws[:6] < 0.5).view(np.int8)
-    sender_basis, sender_bit = coins[_SENDER_BASIS], coins[_SENDER_BIT]
+    return transmit_sessions([gen], alice_sends, channel, eve)
 
-    if eve.kind is EveKind.INTERCEPT_RESEND:
-        intercepted = draws[_INTERCEPT] < eve.intercept_fraction
-    else:
-        intercepted = np.zeros(n, dtype=bool)
+
+def transmit_sessions(
+    gens: Sequence[np.random.Generator],
+    alice_sends: np.ndarray,
+    channel: ChannelModel,
+    eve: EveStrategy,
+) -> SlotColumns:
+    """Simulate a batch of sessions of ``len(alice_sends)`` slots each.
+
+    Session ``j`` draws its ``gen.random((DRAWS, n))`` block from
+    ``gens[j]`` and takes entries ``j * n`` to ``(j + 1) * n`` of the
+    returned columns, so each session's slots are exactly those
+    ``transmit_columns`` gives for its generator alone.  A block is kept
+    only as its coins: each row compared with its threshold, into one
+    ``(DRAWS, sessions * n)`` bool buffer that the combine step then reads
+    as one long session.
+    """
+    n = len(alice_sends)
+    thresholds = np.array(
+        [0.5] * 6 + [
+            eve.intercept_fraction if eve.kind is EveKind.INTERCEPT_RESEND else 0.0,
+            channel.loss_probability,
+            channel.flip_probability,
+        ]
+    )[:, None]
+    coins = np.empty((DRAWS, len(gens) * n), dtype=bool)
+    for j, gen in enumerate(gens):
+        np.less(gen.random((DRAWS, n)), thresholds, out=coins[:, j * n : (j + 1) * n])
+    return _combine(coins, alice_sends if len(gens) == 1 else np.tile(alice_sends, len(gens)), eve)
+
+
+def _combine(coins: np.ndarray, alice_sends: np.ndarray, eve: EveStrategy) -> SlotColumns:
+    """The slot columns of a coin buffer: the physics, elementwise per slot."""
+    fair = coins[:6].view(np.int8)
+    sender_basis, sender_bit = fair[_SENDER_BASIS], fair[_SENDER_BIT]
+    intercepted = coins[_INTERCEPT]
     if eve.basis_policy is BasisPolicy.UNIFORM_RANDOM:
-        eve_basis = coins[_EVE_BASIS]
+        eve_basis = fair[_EVE_BASIS]
     else:
         code = 0 if eve.basis_policy is BasisPolicy.ALWAYS_X else 1
-        eve_basis = np.full(n, code, dtype=np.int8)
-    eve_bit = np.where(eve_basis == sender_basis, sender_bit, coins[_EVE_READING])
+        eve_basis = np.full(len(alice_sends), code, dtype=np.int8)
+    eve_bit = np.where(eve_basis == sender_basis, sender_bit, fair[_EVE_READING])
     state_basis = np.where(intercepted, eve_basis, sender_basis)
-    state_bit = np.where(intercepted, eve_bit, sender_bit) ^ (draws[_FLIP] < channel.flip_probability)
+    state_bit = np.where(intercepted, eve_bit, sender_bit) ^ coins[_FLIP]
 
-    receiver_basis = coins[_RECEIVER_BASIS]
-    receiver_bit = np.where(receiver_basis == state_basis, state_bit, coins[_RECEIVER_READING])
-    receiver_bit[draws[_LOSS] < channel.loss_probability] = -1
+    receiver_basis = fair[_RECEIVER_BASIS]
+    receiver_bit = np.where(receiver_basis == state_basis, state_bit, fair[_RECEIVER_READING])
+    receiver_bit[coins[_LOSS]] = -1
     return SlotColumns(
         alice_sends, sender_basis, sender_bit, receiver_basis, receiver_bit,
         intercepted, eve_basis, eve_bit,

@@ -4,15 +4,17 @@ The probability oracles are computed by exhaustive weighted enumeration or
 by exact probability arithmetic, never by calling the simulator, so they can
 vouch for the values the simulator is asserted against.  The reference
 protocol oracles (``greedy_pairs_search``, ``reference_duplex_session``,
-``reference_parse_transcript``, ``reference_replay_payload``) restate a
-protocol rule or the transcript grammar in its plainest form, or compose
-the dict/tuple step functions, to check the fast implementations against.
+``reference_run_sessions``, ``reference_parse_transcript``,
+``reference_replay_payload``) restate a protocol rule or the transcript
+grammar in its plainest form, or compose the dict/tuple step functions or
+single sessions, to check the fast implementations against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -31,11 +33,15 @@ from duplexqkd import (
     make_pairs_search,
     make_triples_flip,
     party_bit_map,
+    report_from_bb84,
+    report_from_duplex,
+    run_bb84,
+    run_duplex_session,
     run_duplex_transmission,
     triple_from_announcement,
     verify_triples,
 )
-from duplexqkd.rng import seeded_rng
+from duplexqkd.rng import derive_seed, seeded_rng
 
 
 def enumerate_slot_error_probability(
@@ -248,6 +254,23 @@ def reference_duplex_session(config) -> dict:
         "alice_key": extract_key(key_triples, alice_bits),
         "bob_key": extract_key(key_triples, party_bit_map(transcript, "bob")),
     }
+
+
+def reference_run_sessions(protocol: str, config, sessions: int, master_seed: int) -> list:
+    """``run_sessions`` one session at a time: session k alone, seeded by derive_seed(master, k).
+
+    Batched sessions share one transmission and one classical phase; each
+    of them must report what its session reports when run on its own.
+    """
+    reports = []
+    for index in range(sessions):
+        seed = derive_seed(master_seed, index)
+        cfg = replace(config, seed=seed)
+        if protocol == "bb84":
+            reports.append(report_from_bb84(run_bb84(cfg), cfg, session_index=index, seed=seed))
+        else:
+            reports.append(report_from_duplex(run_duplex_session(cfg), session_index=index, seed=seed))
+    return reports
 
 
 def _reference_row(line_number: int, fields: list[str]) -> SlotRecord:

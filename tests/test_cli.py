@@ -246,3 +246,43 @@ def test_unwritable_output_is_one_line_and_exit_1(tmp_path, argv):
     (line,) = result.stderr.splitlines()
     assert line.startswith(f"duplexqkd: cannot write {blocked}/")
     assert line.rsplit(": ", 1)[1] in ("Not a directory", "File exists")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("protocol = duplex\ntimeslots = abc\n", "2: argument --timeslots: invalid int value: 'abc'"),
+        ("# defaults\n\nbogus = 3\n", "3: unknown key 'bogus'"),
+        ("discard_searched_key = yes\n", "1: discard_searched_key: unexpected value 'yes'"),
+        ("variant = search_pairs\nvariant = both\n", "2: argument --variant: invalid choice: 'both'"),
+    ],
+    ids=["bad-value", "unknown-key", "bad-switch", "bad-choice"],
+)
+def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, message):
+    config = tmp_path / "bad.conf"
+    config.write_text(text)
+    assert run_cli("--config", str(config), "run", "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"duplexqkd: {config}:{message}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_keys_are_checked_against_the_subcommand(tmp_path, capsys):
+    config = tmp_path / "replay.conf"
+    config.write_text("variant = search_pairs\nsessions = 3\n")
+    assert run_cli("--config", str(config), "replay", str(example_transcript_path())) == 2
+    assert capsys.readouterr().err == f"duplexqkd: {config}:2: unknown key 'sessions'\n"
+
+
+def test_out_of_memory_is_one_line_and_exit_1(monkeypatch, capsys):
+    from duplexqkd import stats
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(stats, "run_sessions", exhausted)
+    assert run_cli("run", "--timeslots", "20") == 1
+    assert capsys.readouterr().err == (
+        "duplexqkd: not enough memory: Unable to allocate 745. GiB for an array\n"
+    )
