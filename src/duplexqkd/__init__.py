@@ -11,24 +11,19 @@ share (``transmission``), Monte Carlo aggregation and leakage accounting
 (``stats``), and a command-line driver (``cli``).
 """
 
-from .quantum import Basis, Bit, ChannelModel, QubitState, measure, prepare, transmit
-from .adversary import BasisPolicy, EveKind, EveRecord, EveStrategy, maybe_intercept
-from .bb84 import Bb84Config, Bb84Outcome, run_bb84, sift
+from .quantum import Basis, ChannelModel, QubitState, measure, prepare, transmit
+from .adversary import BasisPolicy, EveRecord, EveStrategy, maybe_intercept
+from .bb84 import Bb84Config, run_bb84, sift
 from .duplex import (
     Direction,
     DuplexConfig,
-    DuplexSessionResult,
-    FlipPairing,
-    SearchPairing,
     SetPartition,
     SlotRecord,
     Transcript,
     TranscriptFormatError,
     Triple,
-    VerificationResult,
     announce_bases,
     bob_pairing_views,
-    example_transcript_path,
     extract_key,
     filter_sets,
     format_transcript,
@@ -45,18 +40,11 @@ from .duplex import (
     write_transcript,
 )
 from .stats import (
-    AggregateStats,
-    EveInformation,
-    PairKnowledge,
-    ProtocolComparison,
-    SessionReport,
-    SweepResult,
     aggregate_reports,
     compare_protocols,
     eve_information,
     flip_key_mutual_information,
     pair_error_probability,
-    pair_reading_table,
     report_from_bb84,
     report_from_duplex,
     run_sessions,
@@ -64,41 +52,32 @@ from .stats import (
     slot_error_probability,
     undetected_probability,
 )
-from .rng import derive_seed, seeded_rng
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Basis",
-    "Bit",
     "ChannelModel",
     "QubitState",
     "measure",
     "prepare",
     "transmit",
     "BasisPolicy",
-    "EveKind",
     "EveRecord",
     "EveStrategy",
     "maybe_intercept",
     "Bb84Config",
-    "Bb84Outcome",
     "run_bb84",
     "sift",
     "Direction",
     "DuplexConfig",
-    "DuplexSessionResult",
-    "FlipPairing",
-    "SearchPairing",
     "SetPartition",
     "SlotRecord",
     "Transcript",
     "TranscriptFormatError",
     "Triple",
-    "VerificationResult",
     "announce_bases",
     "bob_pairing_views",
-    "example_transcript_path",
     "extract_key",
     "filter_sets",
     "format_transcript",
@@ -113,24 +92,15 @@ __all__ = [
     "triple_from_announcement",
     "verify_triples",
     "write_transcript",
-    "AggregateStats",
-    "EveInformation",
-    "PairKnowledge",
-    "ProtocolComparison",
-    "SessionReport",
-    "SweepResult",
     "aggregate_reports",
     "compare_protocols",
     "eve_information",
     "flip_key_mutual_information",
     "pair_error_probability",
-    "pair_reading_table",
     "report_from_bb84",
     "report_from_duplex",
     "run_sessions",
     "run_sweep",
     "slot_error_probability",
     "undetected_probability",
-    "derive_seed",
-    "seeded_rng",
 ]

@@ -16,12 +16,7 @@ from enum import Enum
 
 from .quantum import Basis, Bit, QubitState, measure, prepare
 
-__all__ = ["EveKind", "BasisPolicy", "EveStrategy", "EveRecord", "maybe_intercept"]
-
-
-class EveKind(Enum):
-    ABSENT = "absent"
-    INTERCEPT_RESEND = "intercept_resend"
+__all__ = ["BasisPolicy", "EveStrategy", "EveRecord", "maybe_intercept"]
 
 
 class BasisPolicy(Enum):
@@ -38,10 +33,9 @@ class EveStrategy:
 
     ``intercept_fraction`` is the per-slot probability of interception;
     ``basis_policy`` selects the measurement basis for intercepted slots.
-    Both are ignored when ``kind`` is ``ABSENT``.
+    Eve is absent exactly when the fraction is 0.
     """
 
-    kind: EveKind = EveKind.ABSENT
     intercept_fraction: float = 0.0
     basis_policy: BasisPolicy = BasisPolicy.UNIFORM_RANDOM
 
@@ -53,7 +47,7 @@ class EveStrategy:
 
     @classmethod
     def absent(cls) -> "EveStrategy":
-        return cls(kind=EveKind.ABSENT)
+        return cls()
 
     @classmethod
     def intercept_resend(
@@ -61,11 +55,7 @@ class EveStrategy:
         intercept_fraction: float = 1.0,
         basis_policy: BasisPolicy = BasisPolicy.UNIFORM_RANDOM,
     ) -> "EveStrategy":
-        return cls(
-            kind=EveKind.INTERCEPT_RESEND,
-            intercept_fraction=intercept_fraction,
-            basis_policy=basis_policy,
-        )
+        return cls(intercept_fraction, basis_policy)
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,9 +87,7 @@ def maybe_intercept(
     the input.  A cross-basis interception collapses the state onto Eve's
     basis, which is what the protocol later detects.
     """
-    if strategy.kind is EveKind.ABSENT:
-        return state, None
-    if rng.random() >= strategy.intercept_fraction:
+    if strategy.intercept_fraction == 0.0 or rng.random() >= strategy.intercept_fraction:
         return state, None
     basis = _policy_basis(strategy.basis_policy, rng)
     outcome = measure(state, basis, rng)

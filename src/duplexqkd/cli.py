@@ -172,7 +172,8 @@ def _config_file_argv(path: Path, command: str) -> list[str]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise SystemExit(f"duplexqkd: cannot read config file: {exc}")
-    entry_parser = _EntryParser(add_help=False)
+    # Keys name an option in full: "time = 30" is unknown, not --timeslots.
+    entry_parser = _EntryParser(add_help=False, allow_abbrev=False)
     _OPTIONS[command](entry_parser)
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -198,15 +199,9 @@ def _config_file_argv(path: Path, command: str) -> list[str]:
     return argv
 
 
-def _eve_from_args(args: argparse.Namespace, intercept: float) -> EveStrategy:
-    if intercept == 0.0:
-        return EveStrategy.absent()
-    return EveStrategy.intercept_resend(intercept, _EVE_BASIS_CHOICES[args.eve_basis])
-
-
 def _session_config(args: argparse.Namespace):
     channel = ChannelModel(loss_probability=args.loss, flip_probability=args.flip)
-    eve = _eve_from_args(args, args.intercept)
+    eve = EveStrategy(args.intercept, _EVE_BASIS_CHOICES[args.eve_basis])
     if args.protocol == "bb84":
         return Bb84Config(
             n_timeslots=args.timeslots,
@@ -229,7 +224,7 @@ def _session_config(args: argparse.Namespace):
 
 
 def _echo_config(args: argparse.Namespace) -> dict:
-    skip = {"command", "config", "out", "out_format", "func"}
+    skip = {"command", "config", "out", "out_format"}
     echo = {}
     for key, value in sorted(vars(args).items()):
         if key in skip:

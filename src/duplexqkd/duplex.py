@@ -43,7 +43,7 @@ from functools import cached_property
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -523,7 +523,8 @@ class DuplexConfig:
     ``failure_policy`` is "abort" (any failure voids the key) or "threshold"
     (abort only when the failure rate exceeds ``failure_threshold``; failing
     pairs are dropped from the key either way).  ``keep_searched_key``
-    controls whether search-variant pairs double as key material.
+    controls whether search-variant pairs double as key material.  Sessions
+    always interleave "odd_alice": Alice sends in the odd timeslots.
     """
 
     n_timeslots: int
@@ -534,8 +535,8 @@ class DuplexConfig:
     failure_threshold: float = 0.0
     max_pairs: int | None = None
     keep_searched_key: bool = True
-    interleaving: str = "odd_alice"
     seed: int = 0
+    interleaving: ClassVar[str] = "odd_alice"
 
     def __post_init__(self) -> None:
         if self.n_timeslots < 2:
@@ -845,11 +846,8 @@ def classical_phase(
     session = alice_t2 // n
     checked = np.bincount(session, minlength=sessions)
     failures = np.bincount(session[failed], minlength=sessions)
-    if failure_policy == "abort":
-        aborted = failures > 0
-    else:
-        rate = np.divide(failures, checked, out=np.zeros(sessions), where=checked > 0)
-        aborted = rate > failure_threshold
+    rate = np.divide(failures, checked, out=np.zeros(sessions), where=checked > 0)
+    aborted = rate > (0.0 if failure_policy == "abort" else failure_threshold)
 
     keyed = variant == "flip_triples" or keep_searched_key
     key = ~failed & ~aborted[session] if keyed else np.zeros(len(failed), dtype=bool)

@@ -31,9 +31,6 @@ class Basis(Enum):
     X = "X"
     Y = "Y"
 
-    def other(self) -> "Basis":
-        return Basis.Y if self is Basis.X else Basis.X
-
     def __str__(self) -> str:
         return self.value
 

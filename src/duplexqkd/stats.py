@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .adversary import EveKind, EveRecord, EveStrategy
+from .adversary import EveRecord, EveStrategy
 from .bb84 import Bb84Config, Bb84Outcome, Bb84Sessions, error_estimate, run_bb84_sessions
 from .duplex import ClassicalPhase, DuplexConfig, DuplexSessionResult, Triple, run_duplex_sessions
 from .quantum import Basis, ChannelModel
@@ -96,25 +96,8 @@ class SessionReport:
             raise ValueError("key_length must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": self.protocol,
-            "n_timeslots": self.n_timeslots,
-            "sifted": self.sifted,
-            "sifted_or_paired": self.sifted_or_paired,
-            "failures": self.failures,
-            "estimated_error_rate": self.estimated_error_rate,
-            "key_length": self.key_length,
-            "keys_agree": self.keys_agree,
-            "eve_pair_bits_revealed": self.eve_pair_bits_revealed,
-            "detected": self.detected,
-            "aborted": self.aborted,
-            "sampled": self.sampled,
-            "unpaired": self.unpaired,
-            "variant": self.variant,
-            "keyed_search_pairs": self.keyed_search_pairs,
-            "session_index": self.session_index,
-            "seed": self.seed,
-        }
+        # The fields in declaration order; copy() is faster than dict(vars(self)).
+        return vars(self).copy()
 
 
 CSV_FIELDS = [
@@ -227,11 +210,7 @@ def slot_error_probability(eve: EveStrategy, channel: ChannelModel) -> float:
     a fixed-basis Eve is wrong on half the slots, a coin-flipping Eve is
     wrong with probability one half per slot.
     """
-    p_eve = (
-        0.25 * eve.intercept_fraction
-        if eve.kind is EveKind.INTERCEPT_RESEND
-        else 0.0
-    )
+    p_eve = 0.25 * eve.intercept_fraction
     p_chan = channel.flip_probability
     return p_eve + p_chan - 2.0 * p_eve * p_chan
 
@@ -370,7 +349,11 @@ def eve_information(
 # Confidence intervals
 # --------------------------------------------------------------------------
 
-def normal_halfwidth(p_hat: float, n: int, z: float = 1.96) -> float:
+# Normal quantile of a two-sided 95% interval.
+_Z95 = 1.96
+
+
+def normal_halfwidth(p_hat: float, n: int, z: float = _Z95) -> float:
     """Normal-approximation half-width for a binomial proportion."""
     if n <= 0:
         return float("nan")
@@ -490,8 +473,8 @@ class AggregateStats:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def aggregate_reports(reports: Sequence[SessionReport], z: float = 1.96) -> AggregateStats:
-    """Fold a batch of reports into rates with normal-approximation CIs."""
+def aggregate_reports(reports: Sequence[SessionReport]) -> AggregateStats:
+    """Fold a batch of reports into rates with 95% normal-approximation CIs."""
     if not reports:
         raise ValueError("cannot aggregate zero session reports")
     n = len(reports)
@@ -503,12 +486,12 @@ def aggregate_reports(reports: Sequence[SessionReport], z: float = 1.96) -> Aggr
     return AggregateStats(
         sessions=n,
         detection_rate=detection,
-        detection_halfwidth=normal_halfwidth(detection, n, z),
+        detection_halfwidth=normal_halfwidth(detection, n),
         mean_error_rate=float(errors.mean()),
-        error_rate_halfwidth=float(z * errors.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+        error_rate_halfwidth=float(_Z95 * errors.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
         mean_key_length=float(np.mean([r.key_length for r in reports])),
         key_rate_per_timeslot=float(key_rates.mean()),
-        key_rate_halfwidth=float(z * key_rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+        key_rate_halfwidth=float(_Z95 * key_rates.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
         keys_agree_rate=sum(r.keys_agree for r in reports) / n,
         abort_rate=sum(r.aborted for r in reports) / n,
         pair_failure_rate=total_failures / total_checked if total_checked else 0.0,
@@ -532,12 +515,6 @@ class ProtocolComparison:
     """
 
     rows: tuple[dict, ...]
-
-    def to_dict(self) -> dict:
-        return {"rows": list(self.rows)}
-
-    def to_csv(self) -> str:
-        return csv_table(list(self.rows[0]), self.rows)
 
 
 def csv_table(fields: Sequence[str], rows: Iterable[Mapping]) -> str:
@@ -631,12 +608,7 @@ def _apply_cell(
         channel = replace(channel, loss_probability=params["loss_probability"])
     eve = config.eve
     if "intercept_fraction" in params:
-        fraction = params["intercept_fraction"]
-        eve = (
-            EveStrategy.absent()
-            if fraction == 0.0
-            else EveStrategy.intercept_resend(fraction, config.eve.basis_policy)
-        )
+        eve = replace(eve, intercept_fraction=params["intercept_fraction"])
     updates: dict = {"channel": channel, "eve": eve}
     if "n_timeslots" in params:
         updates["n_timeslots"] = int(params["n_timeslots"])
@@ -650,7 +622,6 @@ def run_sweep(
     sessions: int,
     master_seed: int,
     workers: int = 1,
-    z: float = 1.96,
 ) -> SweepResult:
     """Cross a parameter grid and aggregate ``sessions`` runs per cell.
 
@@ -681,7 +652,7 @@ def run_sweep(
                 protocol, cell_config, sessions, derive_seed(master_seed, cell_index),
                 n_workers, pool=pool,
             )
-            stats = aggregate_reports(reports, z)
+            stats = aggregate_reports(reports)
             row = {**params}
             row.update(
                 {

@@ -27,7 +27,7 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .adversary import BasisPolicy, EveKind, EveRecord, EveStrategy
+from .adversary import BasisPolicy, EveRecord, EveStrategy
 from .quantum import Basis, Bit, ChannelModel
 
 __all__ = [
@@ -41,8 +41,8 @@ Party = Literal["alice", "bob"]
 BASES = (Basis.X, Basis.Y)
 
 # Rows of the per-session uniform block.  Rows 0-5 are fair coins; rows 6-8
-# are compared with the intercept fraction (0 without Eve), the loss and the
-# flip probability.
+# are compared with the intercept fraction, the loss and the flip
+# probability.
 _SENDER_BASIS, _SENDER_BIT, _EVE_BASIS, _EVE_READING, _RECEIVER_BASIS, _RECEIVER_READING = range(6)
 _INTERCEPT, _LOSS, _FLIP = 6, 7, 8
 DRAWS = 9
@@ -53,12 +53,6 @@ class Direction(Enum):
 
     ALICE_TO_BOB = "A>B"
     BOB_TO_ALICE = "B>A"
-
-    def sender(self) -> Party:
-        return "alice" if self is Direction.ALICE_TO_BOB else "bob"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,16 +78,6 @@ class SlotRecord:
     @property
     def bases_match(self) -> bool:
         return self.sender_basis is self.receiver_basis
-
-    def basis_of(self, party: Party) -> Basis:
-        if (self.direction is Direction.ALICE_TO_BOB) == (party == "alice"):
-            return self.sender_basis
-        return self.receiver_basis
-
-    def bit_of(self, party: Party) -> Bit | None:
-        if (self.direction is Direction.ALICE_TO_BOB) == (party == "alice"):
-            return self.sender_bit
-        return self.receiver_bit
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,11 +131,7 @@ def transmit_sessions(
     """
     n = len(alice_sends)
     thresholds = np.array(
-        [0.5] * 6 + [
-            eve.intercept_fraction if eve.kind is EveKind.INTERCEPT_RESEND else 0.0,
-            channel.loss_probability,
-            channel.flip_probability,
-        ]
+        [0.5] * 6 + [eve.intercept_fraction, channel.loss_probability, channel.flip_probability]
     )[:, None]
     coins = np.empty((DRAWS, len(gens) * n), dtype=bool)
     for j, gen in enumerate(gens):

@@ -131,3 +131,18 @@ def test_detection_power_of_the_public_sample(n_compared):
         outcome = run_bb84(replace(config, seed=1_000_000 + 31 * n_compared + k))
         survived += not outcome.detected
     assert abs(survived / sessions - expected) <= binomial_3sigma(expected, sessions)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("sample_fraction", 0.0, "sample_fraction must lie strictly between 0 and 1"),
+        ("sample_fraction", 1.0, "sample_fraction must lie strictly between 0 and 1"),
+        ("sample_count", -1, "sample_count must be non-negative"),
+        ("detection_threshold", -0.1, "detection_threshold must lie in"),
+        ("detection_threshold", 1.5, "detection_threshold must lie in"),
+    ],
+)
+def test_config_rejects_out_of_range_settings(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        Bb84Config(n_timeslots=10, **{field: value})

@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
-from duplexqkd.cli import main
+from duplexqkd import BasisPolicy, DuplexConfig, EveStrategy, aggregate_reports, run_sessions
+from duplexqkd.cli import SEED_ENV_VAR, main
 from duplexqkd.duplex import example_transcript_path
+from duplexqkd.rng import derive_seed
 
 from conftest import (
     EXPECTED_DISCARD,
@@ -255,8 +257,9 @@ def test_unwritable_output_is_one_line_and_exit_1(tmp_path, argv):
         ("# defaults\n\nbogus = 3\n", "3: unknown key 'bogus'"),
         ("discard_searched_key = yes\n", "1: discard_searched_key: unexpected value 'yes'"),
         ("variant = search_pairs\nvariant = both\n", "2: argument --variant: invalid choice: 'both'"),
+        ("time = 30\nsess = 2\n", "1: unknown key 'time'"),
     ],
-    ids=["bad-value", "unknown-key", "bad-switch", "bad-choice"],
+    ids=["bad-value", "unknown-key", "bad-switch", "bad-choice", "abbreviated-key"],
 )
 def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, message):
     config = tmp_path / "bad.conf"
@@ -286,3 +289,72 @@ def test_out_of_memory_is_one_line_and_exit_1(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "duplexqkd: not enough memory: Unable to allocate 745. GiB for an array\n"
     )
+
+
+def test_sweep_honours_the_eve_basis_policy(tmp_path):
+    out = tmp_path / "out"
+    code = run_cli(
+        "sweep", "--protocol", "duplex", "--intercept", "0.5", "--eve-basis", "always_y",
+        "--timeslots", "60", "--sessions", "20", "--seed", "4", "--out", str(out),
+    )
+    assert code == 0
+    header, row = (out / "sweep.csv").read_text().splitlines()
+    cell = dict(zip(header.split(","), row.split(",")))
+    assert cell["intercept_fraction"] == "0.5"
+    config = DuplexConfig(
+        n_timeslots=60, eve=EveStrategy.intercept_resend(0.5, BasisPolicy.ALWAYS_Y)
+    )
+    expected = aggregate_reports(run_sessions("duplex", config, 20, derive_seed(4, 0)))
+    for name in (
+        "detection_rate", "detection_halfwidth", "mean_error_rate", "error_rate_halfwidth",
+        "key_rate_per_timeslot", "key_rate_halfwidth", "pair_failure_rate",
+    ):
+        assert float(cell[name]) == getattr(expected, name), name
+
+
+def _one_error_line(err: str) -> str:
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    return line
+
+
+def test_config_line_without_equals_names_the_line(tmp_path, capsys):
+    config = tmp_path / "bad.conf"
+    config.write_text("sessions = 2\ntimeslots 30\n")
+    assert run_cli("--config", str(config), "run", "--out", str(tmp_path / "out")) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == f"duplexqkd: {config}:2: expected 'key = value', got 'timeslots 30'"
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_config_file_is_one_line_and_exit_1(tmp_path):
+    missing = tmp_path / "missing.conf"
+    result = subprocess.run(
+        [sys.executable, "-m", "duplexqkd.cli", "--config", str(missing), "run"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    line = _one_error_line(result.stderr)
+    assert line.startswith("duplexqkd: cannot read config file: ")
+    assert str(missing) in line
+
+
+def test_config_without_a_subcommand_exits_2(tmp_path, capsys):
+    assert run_cli("--config", str(tmp_path / "any.conf")) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == "duplexqkd: --config given without a subcommand"
+
+
+def test_non_integer_seed_variable_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(SEED_ENV_VAR, "seven")
+    assert run_cli("run", "--timeslots", "20", "--out", str(tmp_path / "out")) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == f"duplexqkd: {SEED_ENV_VAR} must be an integer, got 'seven'"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_with_zero_sessions_exits_2(tmp_path, capsys):
+    assert run_cli("run", "--sessions", "0", "--out", str(tmp_path / "out")) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == "duplexqkd: sessions must be >= 1"
+    assert not (tmp_path / "out").exists()

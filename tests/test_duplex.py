@@ -447,3 +447,18 @@ def test_lost_token_round_trips():
     transcript = parse_transcript("1 A>B X 1 X LOST\n2 B>A Y 0 Y 0\n")
     assert transcript.slots[0].receiver_bit is None
     assert "LOST" in format_transcript(transcript)
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("variant", "both", "unknown variant 'both'"),
+        ("failure_policy", "ignore", "unknown failure_policy 'ignore'"),
+        ("failure_threshold", -0.1, "failure_threshold must lie in"),
+        ("failure_threshold", 1.5, "failure_threshold must lie in"),
+        ("max_pairs", -1, "max_pairs must be non-negative"),
+    ],
+)
+def test_config_rejects_out_of_range_settings(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        DuplexConfig(n_timeslots=10, **{field: value})

@@ -79,3 +79,62 @@ def test_import_and_run_leave_scipy_stats_unloaded(tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path
     )
     assert result.returncode == 0, result.stderr
+
+
+# The package root's public names.  Result types and seed helpers are
+# imported from their modules; a change to this list is an API change.
+PUBLIC_API = [
+    "Basis",
+    "BasisPolicy",
+    "Bb84Config",
+    "ChannelModel",
+    "Direction",
+    "DuplexConfig",
+    "EveRecord",
+    "EveStrategy",
+    "QubitState",
+    "SetPartition",
+    "SlotRecord",
+    "Transcript",
+    "TranscriptFormatError",
+    "Triple",
+    "aggregate_reports",
+    "announce_bases",
+    "bob_pairing_views",
+    "compare_protocols",
+    "eve_information",
+    "extract_key",
+    "filter_sets",
+    "flip_key_mutual_information",
+    "format_transcript",
+    "make_pairs_search",
+    "make_triples_flip",
+    "maybe_intercept",
+    "measure",
+    "pair_error_probability",
+    "parse_transcript",
+    "partition_from_discard",
+    "party_bit_map",
+    "prepare",
+    "read_transcript",
+    "report_from_bb84",
+    "report_from_duplex",
+    "run_bb84",
+    "run_duplex_session",
+    "run_duplex_transmission",
+    "run_sessions",
+    "run_sweep",
+    "sift",
+    "slot_error_probability",
+    "transmit",
+    "triple_from_announcement",
+    "undetected_probability",
+    "verify_triples",
+    "write_transcript",
+]
+
+
+def test_package_root_exports_exactly_the_public_api():
+    assert sorted(duplexqkd.__all__) == PUBLIC_API
+    for name in PUBLIC_API:
+        assert getattr(duplexqkd, name) is not None, name
