@@ -4,15 +4,16 @@ The package models the classic single-direction BB84 protocol (module
 ``bb84``) and a duplex variant in which Alice and Bob interleave
 transmissions towards each other and check every surviving timeslot by
 publishing parity-linked slot pairs instead of sacrificing a random bit
-sample (module ``duplex``).  Supporting modules supply the eigenstate-level
-qubit and channel model (``quantum``), a pluggable intercept-resend
-adversary (``adversary``), the numpy transmission kernel both protocols
-share (``transmission``), Monte Carlo aggregation and leakage accounting
-(``stats``), and a command-line driver (``cli``).
+sample (module ``duplex``).  Supporting modules supply the bases and the
+channel parameters (``quantum``), the intercept-resend adversary's
+configuration (``adversary``), the numpy transmission kernel that applies
+the measurement rules for both protocols (``transmission``), Monte Carlo
+aggregation and leakage accounting (``stats``), and a command-line driver
+(``cli``).
 """
 
-from .quantum import Basis, ChannelModel, QubitState, measure, prepare, transmit
-from .adversary import BasisPolicy, EveRecord, EveStrategy, maybe_intercept
+from .quantum import Basis, ChannelModel
+from .adversary import BasisPolicy, EveRecord, EveStrategy
 from .bb84 import Bb84Config, run_bb84, sift
 from .duplex import (
     Direction,
@@ -58,14 +59,9 @@ __version__ = "0.1.0"
 __all__ = [
     "Basis",
     "ChannelModel",
-    "QubitState",
-    "measure",
-    "prepare",
-    "transmit",
     "BasisPolicy",
     "EveRecord",
     "EveStrategy",
-    "maybe_intercept",
     "Bb84Config",
     "run_bb84",
     "sift",

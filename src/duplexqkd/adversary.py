@@ -1,22 +1,21 @@
-"""Pluggable intercept-resend eavesdropper.
+"""The intercept-resend eavesdropper's configuration and records.
 
 Eve sits between the two endpoints and sees every transmitted state in both
 directions.  When she intercepts, she measures in a basis chosen by her
 policy, keeps a record of what she saw, and forwards the collapsed
-eigenstate.  Her resend is noiseless: channel imperfections are modelled
-separately so attack strength and channel quality stay independently
-tunable.
+eigenstate; the ``transmission`` kernel applies these rules.  Her resend is
+noiseless: channel imperfections are modelled separately so attack strength
+and channel quality stay independently tunable.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .quantum import Basis, Bit, QubitState, measure, prepare
+from .quantum import Basis, Bit
 
-__all__ = ["BasisPolicy", "EveStrategy", "EveRecord", "maybe_intercept"]
+__all__ = ["BasisPolicy", "EveStrategy", "EveRecord"]
 
 
 class BasisPolicy(Enum):
@@ -66,29 +65,3 @@ class EveRecord:
     measured_basis: Basis
     measured_bit: Bit
 
-
-def _policy_basis(policy: BasisPolicy, rng: random.Random) -> Basis:
-    if policy is BasisPolicy.ALWAYS_X:
-        return Basis.X
-    if policy is BasisPolicy.ALWAYS_Y:
-        return Basis.Y
-    return Basis.X if rng.random() < 0.5 else Basis.Y
-
-
-def maybe_intercept(
-    timeslot: int,
-    state: QubitState,
-    strategy: EveStrategy,
-    rng: random.Random,
-) -> tuple[QubitState, EveRecord | None]:
-    """Give Eve a chance at one slot; return the forwarded state and her record.
-
-    A same-basis interception is invisible: the forwarded eigenstate equals
-    the input.  A cross-basis interception collapses the state onto Eve's
-    basis, which is what the protocol later detects.
-    """
-    if strategy.intercept_fraction == 0.0 or rng.random() >= strategy.intercept_fraction:
-        return state, None
-    basis = _policy_basis(strategy.basis_policy, rng)
-    outcome = measure(state, basis, rng)
-    return prepare(basis, outcome), EveRecord(timeslot, basis, outcome)

@@ -164,8 +164,10 @@ class _EntryParser(argparse.ArgumentParser):
 def _config_file_argv(path: Path, command: str) -> list[str]:
     """Turn a key = value file into argv tokens placed before the real flags.
 
-    Each line is parsed on its own with ``command``'s options, so a bad key
-    or value is reported with the file and line it came from.
+    Each line is parsed on its own with ``command``'s options, and for
+    ``run`` and ``sweep`` also built into a session config with the other
+    options at their defaults, so a bad key or value is reported with the
+    file and line it came from.
     """
     argv: list[str] = []
     try:
@@ -187,8 +189,10 @@ def _config_file_argv(path: Path, command: str) -> list[str]:
         switch = value.lower() in ("true", "false")
         tokens = [flag] if switch else [flag, value]
         try:
-            extras = entry_parser.parse_known_args(tokens)[1]
-        except _ConfigError as exc:
+            entry, extras = entry_parser.parse_known_args(tokens)
+            if command != "replay" and not extras:
+                _session_config(entry, sweep=command == "sweep")
+        except (_ConfigError, ValueError) as exc:
             raise _ConfigError(f"{path}:{line_number}: {exc}") from None
         if extras:
             unknown = extras[0] == flag
@@ -199,9 +203,11 @@ def _config_file_argv(path: Path, command: str) -> list[str]:
     return argv
 
 
-def _session_config(args: argparse.Namespace):
-    channel = ChannelModel(loss_probability=args.loss, flip_probability=args.flip)
-    eve = EveStrategy(args.intercept, _EVE_BASIS_CHOICES[args.eve_basis])
+def _session_config(args: argparse.Namespace, *, sweep: bool = False):
+    # A sweep applies its grid per cell; its base config holds neutral values.
+    loss, flip, intercept = (0.0, 0.0, 0.0) if sweep else (args.loss, args.flip, args.intercept)
+    channel = ChannelModel(loss_probability=loss, flip_probability=flip)
+    eve = EveStrategy(intercept, _EVE_BASIS_CHOICES[args.eve_basis])
     if args.protocol == "bb84":
         return Bb84Config(
             n_timeslots=args.timeslots,
@@ -340,13 +346,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not grid:
         print("duplexqkd: sweep grid is empty", file=sys.stderr)
         return 2
-    # Swept parameters are applied per cell; the base config holds neutral values.
-    base = argparse.Namespace(**vars(args))
-    base.intercept, base.flip, base.loss = 0.0, 0.0, 0.0
-    config = _session_config(base)
-    result = stats.run_sweep(
-        args.protocol, config, grid, args.sessions, args.seed, args.workers
-    )
+    config = _session_config(args, sweep=True)
+    result = stats.run_sweep(args.protocol, config, grid, args.sessions, args.seed, args.workers)
     payload = {"config": _echo_config(args), "sweep": result.to_dict()}
     _write_reports(args.out, args.out_format, payload, result.to_csv(), "sweep.json", "sweep.csv")
     print(result.to_csv(), end="")

@@ -1,9 +1,9 @@
 """Duplex interleaved BB84 with parity-checked timeslot pairs.
 
 Alice and Bob each run a BB84 transmission towards the other, interleaved on
-a shared timeslot axis (by default Alice sends in odd slots, Bob in even
-slots).  After the quantum phase, Alice announces her basis choices for both
-roles and Bob filters the timeslots into three sets:
+a shared timeslot axis (Alice sends in odd slots, Bob in even slots).  After
+the quantum phase, Alice announces her basis choices for both roles and Bob
+filters the timeslots into three sets:
 
 * the discard set: slots that were lost or where the bases differ,
 * set 2: surviving slots in which Alice was the sender,
@@ -43,7 +43,7 @@ from functools import cached_property
 from importlib import resources
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -192,19 +192,11 @@ def _session_transcript(columns: SlotColumns, interleaving: str) -> Transcript:
     return Transcript._from_columns(interleaving, np.arange(1, len(columns) + 1), *slot_columns)
 
 
-def _direction_mask(
-    n_timeslots: int, interleaving: str | Callable[[int], Direction]
-) -> tuple[np.ndarray, str]:
-    """The alice-sends mask of an interleaving rule, and the rule's name."""
-    if callable(interleaving):
-        mask = np.array(
-            [interleaving(t) is Direction.ALICE_TO_BOB for t in range(1, n_timeslots + 1)],
-            dtype=bool,
-        )
-        return mask, getattr(interleaving, "__name__", "custom")
+def _direction_mask(n_timeslots: int, interleaving: str) -> np.ndarray:
+    """The alice-sends mask of the "odd_alice" rule, the only one there is."""
     if interleaving != "odd_alice":
         raise ValueError(f"unknown interleaving rule {interleaving!r}")
-    return np.arange(n_timeslots) % 2 == 0, interleaving  # timeslots 1, 3, 5, ...
+    return np.arange(n_timeslots) % 2 == 0  # timeslots 1, 3, 5, ...
 
 
 def run_duplex_transmission(
@@ -213,24 +205,24 @@ def run_duplex_transmission(
     eve: EveStrategy,
     rng: random.Random,
     *,
-    interleaving: str | Callable[[int], Direction] = "odd_alice",
+    interleaving: str = "odd_alice",
     eve_sink: list[EveRecord] | None = None,
 ) -> Transcript:
     """Simulate the quantum phase of one duplex session as a transcript.
 
-    Each timeslot gets a direction from the interleaving rule ("odd_alice":
-    Alice sends in odd slots); the slots are then drawn by
+    Alice sends in the odd timeslots and Bob in the even ones (the
+    "odd_alice" interleaving, the only rule); the slots are drawn by
     ``transmit_columns`` from ``session_generator(rng)``, exactly as
     ``run_duplex_session`` draws them for ``seeded_rng(seed)``.
     Intercept records are appended to ``eve_sink`` when one is supplied.
     """
     if n_timeslots < 2:
         raise ValueError(f"a duplex run needs at least 2 timeslots, got {n_timeslots}")
-    alice_sends, rule_name = _direction_mask(n_timeslots, interleaving)
+    alice_sends = _direction_mask(n_timeslots, interleaving)
     columns = transmit_columns(session_generator(rng), alice_sends, channel, eve)
     if eve_sink is not None:
         eve_sink.extend(intercept_records(columns))
-    return _session_transcript(columns, rule_name)
+    return _session_transcript(columns, interleaving)
 
 
 def announce_bases(transcript: Transcript, party: Party) -> dict[int, Basis]:
@@ -879,7 +871,7 @@ def run_duplex_sessions(
     """
     columns = transmit_sessions(
         [session_generator(seeded_rng(seed)) for seed in seeds],
-        _direction_mask(config.n_timeslots, config.interleaving)[0],
+        _direction_mask(config.n_timeslots, config.interleaving),
         config.channel,
         config.eve,
     )

@@ -1,13 +1,12 @@
 """Deterministic seed derivation.
 
-Every simulation consumes randomness from a ``random.Random`` built here, so
-a run is fully determined by its integer seed path.  Derived streams use a
-documented counter scheme: session ``k`` of a run with master seed ``s``
-draws from ``seeded_rng(s, k)``; sweep cell ``c`` prepends its cell index,
+A run is fully determined by its integer seed path.  Derived streams use a
+documented counter scheme: session ``k`` of a run with master seed ``s`` is
+seeded from ``seeded_rng(s, k)``; sweep cell ``c`` prepends its cell index,
 ``seeded_rng(s, c, k)``.  Hashing the path through SHA-256 keeps the scheme
-stable across platforms and Python versions.  A session's quantum phase
-draws from a numpy generator seeded with 64 bits of its ``random.Random``
-(``session_generator``), so it too is fixed by the seed path.
+stable across platforms and Python versions.  The ``random.Random`` built
+here only derives the session's numpy seed: every draw of the simulation
+comes from the generator ``session_generator`` seeds with 64 of its bits.
 """
 
 from __future__ import annotations

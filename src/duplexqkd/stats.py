@@ -44,7 +44,6 @@ __all__ = [
     "flip_key_mutual_information",
     "pair_reading_table",
     "normal_halfwidth",
-    "binomial_interval",
     "report_from_duplex",
     "report_from_bb84",
     "effective_workers",
@@ -358,18 +357,6 @@ def normal_halfwidth(p_hat: float, n: int, z: float = _Z95) -> float:
     if n <= 0:
         return float("nan")
     return z * math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n)
-
-
-def binomial_interval(successes: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Exact (Clopper-Pearson) binomial confidence interval, for small n."""
-    from scipy.stats import beta  # slow to import and needed nowhere else
-
-    if not 0 <= successes <= n:
-        raise ValueError("successes must lie in [0, n]")
-    alpha = 1.0 - confidence
-    lower = 0.0 if successes == 0 else float(beta.ppf(alpha / 2, successes, n - successes + 1))
-    upper = 1.0 if successes == n else float(beta.ppf(1 - alpha / 2, successes + 1, n - successes))
-    return lower, upper
 
 
 # --------------------------------------------------------------------------

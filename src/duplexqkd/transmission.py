@@ -1,14 +1,15 @@
 """The transmission kernel shared by both protocols.
 
 One call simulates the quantum phase of whole sessions as numpy columns,
-one entry per timeslot.  The physics is the scalar model of ``quantum`` and
-``adversary``, applied slot-wise to arrays:
+one entry per timeslot.  A state is an eigenstate of one basis; measuring it
+in that basis returns its bit, measuring it in the other basis returns a
+fair coin and collapses it onto the outcome's eigenstate.  Slot-wise:
 
 1. the sender draws a uniform basis and bit;
-2. Eve, when she intercepts, measures in her policy's basis (a cross-basis
-   reading is a fair coin) and forwards the collapsed eigenstate;
+2. Eve, when she intercepts, measures in her policy's basis and forwards
+   the collapsed eigenstate, noiselessly;
 3. the channel loses the state, or else may flip its bit within its basis;
-4. the receiver measures in a uniform basis (again a fair coin across bases).
+4. the receiver measures in a uniform basis.
 
 All randomness of a session comes from one ``gen.random((DRAWS, n))`` block,
 row by row as laid out below, so a session is a pure function of its

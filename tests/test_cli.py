@@ -258,8 +258,13 @@ def test_unwritable_output_is_one_line_and_exit_1(tmp_path, argv):
         ("discard_searched_key = yes\n", "1: discard_searched_key: unexpected value 'yes'"),
         ("variant = search_pairs\nvariant = both\n", "2: argument --variant: invalid choice: 'both'"),
         ("time = 30\nsess = 2\n", "1: unknown key 'time'"),
+        ("sessions = 2\nintercept = 2\n", "2: intercept_fraction must lie in [0, 1], got 2.0"),
+        ("timeslots = 1\n", "1: n_timeslots must be >= 2, got 1"),
     ],
-    ids=["bad-value", "unknown-key", "bad-switch", "bad-choice", "abbreviated-key"],
+    ids=[
+        "bad-value", "unknown-key", "bad-switch", "bad-choice", "abbreviated-key",
+        "invalid-intercept", "invalid-timeslots",
+    ],
 )
 def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, message):
     config = tmp_path / "bad.conf"

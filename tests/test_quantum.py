@@ -1,77 +1,46 @@
-import random
+"""The measurement and channel rules, as the transmission kernel applies them."""
 
+import numpy as np
 import pytest
 
-from duplexqkd import Basis, ChannelModel, QubitState, measure, prepare, transmit
+from duplexqkd import ChannelModel, EveStrategy
+from duplexqkd.rng import seeded_rng, session_generator
+from duplexqkd.transmission import transmit_columns
 
 from _oracles import binomial_3sigma
 
-
-@pytest.mark.parametrize(
-    "basis,bit",
-    [(Basis.X, 1), (Basis.Y, 0), (Basis.X, 0), (Basis.Y, 1)],
-)
-def test_prepare_is_the_matching_eigenstate(basis, bit):
-    state = prepare(basis, bit)
-    assert state == QubitState(basis, bit)
+N = 100_000
 
 
-def test_prepare_rejects_non_bits():
-    with pytest.raises(ValueError):
-        prepare(Basis.X, 2)
-
-
-@pytest.mark.parametrize("basis", [Basis.X, Basis.Y])
-@pytest.mark.parametrize("bit", [0, 1])
-def test_same_basis_measurement_is_deterministic(basis, bit, rng):
-    state = prepare(basis, bit)
-    assert all(measure(state, basis, rng) == bit for _ in range(50))
+def _columns(seed, channel=ChannelModel(), eve=EveStrategy.absent()):
+    alice_sends = np.arange(N) % 2 == 0
+    return transmit_columns(session_generator(seeded_rng(seed)), alice_sends, channel, eve)
 
 
 def test_cross_basis_measurement_is_a_fair_coin():
-    rng = random.Random(2024)
-    n = 100_000
-    ones = sum(measure(prepare(Basis.X, 1), Basis.Y, rng) for _ in range(n))
-    assert abs(ones / n - 0.5) <= 0.01
-    assert abs(ones / n - 0.5) <= binomial_3sigma(0.5, n)
+    cols = _columns(2024)
+    crossed = cols.receiver_basis != cols.sender_basis
+    n = int(crossed.sum())
+    reading = cols.receiver_bit[crossed]
+    assert abs(reading.mean() - 0.5) <= binomial_3sigma(0.5, n)
+    assert abs((reading == cols.sender_bit[crossed]).mean() - 0.5) <= binomial_3sigma(0.5, n)
 
 
-def test_collapse_repeats_the_outcome(rng):
-    # The post-measurement state is the eigenstate of the outcome, so
-    # re-measuring it in the same basis must repeat that outcome.
-    for _ in range(200):
-        outcome = measure(prepare(Basis.X, 1), Basis.Y, rng)
-        collapsed = prepare(Basis.Y, outcome)
-        assert measure(collapsed, Basis.Y, rng) == outcome
-
-
-def test_identity_channel_is_the_identity(rng):
-    channel = ChannelModel()
-    for basis in Basis:
-        for bit in (0, 1):
-            assert transmit(prepare(basis, bit), channel, rng) == prepare(basis, bit)
-
-
-def test_total_loss_drops_everything(rng):
-    channel = ChannelModel(loss_probability=1.0)
-    for basis in Basis:
-        for bit in (0, 1):
-            assert transmit(prepare(basis, bit), channel, rng) is None
+def test_collapse_repeats_the_outcome():
+    # Eve's measurement collapses the state onto the eigenstate of her
+    # outcome, so a noiseless reading in her basis repeats that outcome,
+    # also where her basis differs from the sender's and she read a coin.
+    cols = _columns(11, eve=EveStrategy.intercept_resend(1.0))
+    in_eve_basis = cols.intercepted & (cols.receiver_basis == cols.eve_basis)
+    assert (in_eve_basis & (cols.eve_basis != cols.sender_basis)).any()
+    assert np.array_equal(cols.receiver_bit[in_eve_basis], cols.eve_bit[in_eve_basis])
 
 
 def test_flip_probability_matches_frequency():
-    rng = random.Random(99)
-    channel = ChannelModel(flip_probability=0.1)
-    n = 100_000
-    state = prepare(Basis.X, 1)
-    flipped = sum(transmit(state, channel, rng).bit == 0 for _ in range(n))
-    assert abs(flipped / n - 0.1) <= 0.005
-
-
-def test_flip_stays_within_basis(rng):
-    channel = ChannelModel(flip_probability=1.0)
-    out = transmit(prepare(Basis.Y, 0), channel, rng)
-    assert out == QubitState(Basis.Y, 1)
+    cols = _columns(99, ChannelModel(flip_probability=0.1))
+    matched = cols.receiver_basis == cols.sender_basis
+    rate = (cols.receiver_bit[matched] != cols.sender_bit[matched]).mean()
+    assert abs(rate - 0.1) <= binomial_3sigma(0.1, int(matched.sum()))
 
 
 @pytest.mark.parametrize("kwargs", [{"loss_probability": -0.1}, {"flip_probability": 1.5}])

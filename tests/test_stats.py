@@ -26,7 +26,7 @@ from duplexqkd import (
     slot_error_probability,
     undetected_probability,
 )
-from duplexqkd.stats import SessionReport, binomial_interval, normal_halfwidth
+from duplexqkd.stats import SessionReport, normal_halfwidth
 
 from _oracles import (
     binomial_3sigma,
@@ -260,15 +260,6 @@ def test_aggregate_full_interception_detects_everything():
 
 def test_normal_halfwidth_formula():
     assert normal_halfwidth(0.5, 100, z=2.0) == pytest.approx(2.0 * math.sqrt(0.25 / 100))
-
-
-def test_binomial_interval_brackets_the_estimate():
-    lower, upper = binomial_interval(3, 10)
-    assert 0.0 <= lower < 0.3 < upper <= 1.0
-    assert binomial_interval(0, 10)[0] == 0.0
-    assert binomial_interval(10, 10)[1] == 1.0
-    with pytest.raises(ValueError):
-        binomial_interval(11, 10)
 
 
 # ---------------------------------------------------------------------------

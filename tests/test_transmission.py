@@ -107,15 +107,7 @@ def test_transcript_is_the_object_form_of_the_columns(seed, loss, intercept, n):
         assert record.direction is (Direction.ALICE_TO_BOB if odd else Direction.BOB_TO_ALICE)
 
 
-def test_custom_interleaving_rule_sets_the_directions():
-    def bob_first(t):
-        return Direction.BOB_TO_ALICE if t <= 5 else Direction.ALICE_TO_BOB
-
-    transcript = run_duplex_transmission(
-        10, ChannelModel(), EveStrategy.absent(), seeded_rng(1), interleaving=bob_first
-    )
-    assert transcript.interleaving == "bob_first"
-    assert [r.direction for r in transcript] == [bob_first(t) for t in range(1, 11)]
+def test_unknown_interleaving_rule_is_rejected():
     with pytest.raises(ValueError, match="interleaving"):
         run_duplex_transmission(10, ChannelModel(), EveStrategy.absent(), seeded_rng(1), interleaving="nope")
 

@@ -92,7 +92,6 @@ PUBLIC_API = [
     "DuplexConfig",
     "EveRecord",
     "EveStrategy",
-    "QubitState",
     "SetPartition",
     "SlotRecord",
     "Transcript",
@@ -109,13 +108,10 @@ PUBLIC_API = [
     "format_transcript",
     "make_pairs_search",
     "make_triples_flip",
-    "maybe_intercept",
-    "measure",
     "pair_error_probability",
     "parse_transcript",
     "partition_from_discard",
     "party_bit_map",
-    "prepare",
     "read_transcript",
     "report_from_bb84",
     "report_from_duplex",
@@ -126,7 +122,6 @@ PUBLIC_API = [
     "run_sweep",
     "sift",
     "slot_error_probability",
-    "transmit",
     "triple_from_announcement",
     "undetected_probability",
     "verify_triples",
