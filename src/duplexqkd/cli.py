@@ -19,9 +19,10 @@ the same inputs reproduces the report files byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -47,8 +48,83 @@ _EVE_BASIS_CHOICES = {
 }
 
 
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_bytes(payload) -> bytes:
-    return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii")
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"`` as ASCII bytes.
+
+    ``json.dumps`` cannot use its C encoder when it indents, and walks every
+    list item in Python; this writer formats a flat int list, or a list of
+    equal-length int lists (replay triples), with one ``%`` template.
+    Payloads are trees: a cycle is not detected.
+    """
+    return (_json_text(payload, "\n") + "\n").encode("ascii")
+
+
+def _json_scalar(value) -> str | None:
+    """JSON text of a str, None, bool, int or float; None for any other value."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    # Subclasses (numpy float64, IntEnum) are written as plain numbers.
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NONFINITE.get(text, text)
+    return None
+
+
+def _json_key(key) -> str:
+    """A dict key as JSON text: numbers, bools and None are written quoted."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:
+        return encode_basestring_ascii(_json_scalar(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json_text(value, newline: str) -> str:
+    """``value`` as JSON, nested where a line break plus indent is ``newline``."""
+    text = _json_scalar(value)
+    if text is not None:
+        return text
+    inner = newline + "  "
+    sep = "," + inner
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # A flat int list, or equal-length int rows, is one %d template per
+        # item.  Exact ints only: %d would write a bool as 1 and cut a float.
+        template = None
+        kinds = set(map(type, value))
+        if kinds == {int}:
+            template, cells = "%d", tuple(value)
+        elif kinds == {list} and len(set(map(len, value))) == 1:
+            cells = tuple(chain.from_iterable(value))
+            if set(map(type, cells)) == {int}:
+                row = (sep + "  ").join(["%d"] * len(value[0]))
+                template = "[" + inner + "  " + row + inner + "]"
+        if template is None:
+            body = sep.join([_json_scalar(v) or _json_text(v, inner) for v in value])
+        else:
+            body = sep.join([template] * len(value)) % cells
+        return "[" + inner + body + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([
+            _json_key(k) + ": " + (_json_scalar(v) or _json_text(v, inner))
+            for k, v in sorted(value.items())
+        ])
+        return "{" + inner + body + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class _WriteError(Exception):
@@ -164,10 +240,10 @@ class _EntryParser(argparse.ArgumentParser):
 def _config_file_argv(path: Path, command: str) -> list[str]:
     """Turn a key = value file into argv tokens placed before the real flags.
 
-    Each line is parsed on its own with ``command``'s options, and for
-    ``run`` and ``sweep`` also built into a session config with the other
-    options at their defaults, so a bad key or value is reported with the
-    file and line it came from.
+    Each line is parsed with ``command``'s options on top of the lines
+    before it, and for ``run`` and ``sweep`` also built into a session
+    config and checked for a session and worker count of at least 1, so a
+    bad key or value is reported with the file and line it came from.
     """
     argv: list[str] = []
     try:
@@ -189,9 +265,12 @@ def _config_file_argv(path: Path, command: str) -> list[str]:
         switch = value.lower() in ("true", "false")
         tokens = [flag] if switch else [flag, value]
         try:
-            entry, extras = entry_parser.parse_known_args(tokens)
+            entry, extras = entry_parser.parse_known_args(argv + tokens)
             if command != "replay" and not extras:
                 _session_config(entry, sweep=command == "sweep")
+                for name in ("sessions", "workers"):
+                    if getattr(entry, name) < 1:
+                        raise ValueError(f"{name} must be >= 1, got {getattr(entry, name)}")
         except (_ConfigError, ValueError) as exc:
             raise _ConfigError(f"{path}:{line_number}: {exc}") from None
         if extras:
@@ -304,6 +383,11 @@ def _replay_payload(transcript: Transcript, variant: str) -> dict:
     }
 
 
+def _int_text(values: list[int], sep: str) -> str:
+    """``sep.join(map(str, values))`` for ints, formatted in one step."""
+    return sep.join(["%d"] * len(values)) % tuple(values)
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         transcript = read_transcript(args.transcript)
@@ -314,19 +398,20 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         print(f"duplexqkd: cannot read transcript: {exc}", file=sys.stderr)
         return 1
     payload = _replay_payload(transcript, args.variant)
+    triples = payload["triples"]
     print(f"timeslots: {payload['n_timeslots']}")
-    print("discard:", " ".join(map(str, payload["discard"])))
-    print("set2:", " ".join(map(str, payload["set2"])))
-    print("set3:", " ".join(map(str, payload["set3"])))
-    print("triples:", " ".join(f"({a},{b},{f})" for a, b, f in payload["triples"]))
-    print("unpaired:", " ".join(map(str, payload["unpaired"])))
+    print("discard:", _int_text(payload["discard"], " "))
+    print("set2:", _int_text(payload["set2"], " "))
+    print("set3:", _int_text(payload["set3"], " "))
+    print("triples:", " ".join(["(%d,%d,%d)"] * len(triples)) % tuple(chain.from_iterable(triples)))
+    print("unpaired:", _int_text(payload["unpaired"], " "))
     verdict = "PASS" if payload["passed"] else "FAIL"
     print(
         f"verification: {payload['checked_pairs']} checked, "
         f"{len(payload['failures'])} failed -> {verdict}"
     )
-    print("alice_key:", "".join(map(str, payload["alice_key"])))
-    print("bob_key:  ", "".join(map(str, payload["bob_key"])))
+    print("alice_key:", _int_text(payload["alice_key"], ""))
+    print("bob_key:  ", _int_text(payload["bob_key"], ""))
     print("keys_agree:", "yes" if payload["keys_agree"] else "no")
     if args.json is not None:
         _write_file(args.json, _json_bytes(payload))

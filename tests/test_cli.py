@@ -260,10 +260,17 @@ def test_unwritable_output_is_one_line_and_exit_1(tmp_path, argv):
         ("time = 30\nsess = 2\n", "1: unknown key 'time'"),
         ("sessions = 2\nintercept = 2\n", "2: intercept_fraction must lie in [0, 1], got 2.0"),
         ("timeslots = 1\n", "1: n_timeslots must be >= 2, got 1"),
+        (
+            "protocol = bb84\nsample_fraction = 2\n",
+            "2: sample_fraction must lie strictly between 0 and 1, got 2.0",
+        ),
+        ("sessions = 0\n", "1: sessions must be >= 1, got 0"),
+        ("timeslots = 50\nworkers = 0\n", "2: workers must be >= 1, got 0"),
     ],
     ids=[
         "bad-value", "unknown-key", "bad-switch", "bad-choice", "abbreviated-key",
-        "invalid-intercept", "invalid-timeslots",
+        "invalid-intercept", "invalid-timeslots", "invalid-for-earlier-protocol",
+        "invalid-sessions", "invalid-workers",
     ],
 )
 def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, message):
