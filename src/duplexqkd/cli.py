@@ -206,24 +206,23 @@ _OPTIONS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommand parsers, by name."""
     parser = argparse.ArgumentParser(
         prog="duplexqkd",
         description="Duplex BB84 simulator: eavesdropper detection without public bit comparison.",
     )
     parser.add_argument("--config", type=Path, default=None, help="key = value defaults file")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run seeded Monte Carlo sessions")
-    _OPTIONS["run"](run)
-
-    replay = sub.add_parser("replay", help="rerun the classical phase on a fixed transcript")
-    replay.add_argument("transcript", type=Path, help="transcript file to replay")
-    _OPTIONS["replay"](replay)
-
-    sweep = sub.add_parser("sweep", help="cross a parameter grid, one aggregate per cell")
-    _OPTIONS["sweep"](sweep)
-    return parser
+    sub = parser.add_subparsers(dest="command")
+    commands = {
+        "run": sub.add_parser("run", help="run seeded Monte Carlo sessions"),
+        "replay": sub.add_parser("replay", help="rerun the classical phase on a fixed transcript"),
+        "sweep": sub.add_parser("sweep", help="cross a parameter grid, one aggregate per cell"),
+    }
+    commands["replay"].add_argument("transcript", type=Path, help="transcript file to replay")
+    for name, add_options in _OPTIONS.items():
+        add_options(commands[name])
+    return parser, commands
 
 
 class _ConfigError(Exception):
@@ -237,15 +236,15 @@ class _EntryParser(argparse.ArgumentParser):
         raise _ConfigError(message)
 
 
-def _config_file_argv(path: Path, command: str) -> list[str]:
-    """Turn a key = value file into argv tokens placed before the real flags.
+def _config_file_defaults(path: Path, command: str) -> dict:
+    """Read a key = value file into ``command``'s option values.
 
-    Each line is parsed with ``command``'s options on top of the lines
-    before it, and for ``run`` and ``sweep`` also built into a session
-    config and checked for a session and worker count of at least 1, so a
+    Each line is parsed into one namespace that holds the lines before it,
+    so a later line overrides an earlier one.  For ``run`` and ``sweep`` the
+    values are also built into a session config (for a sweep, every grid
+    cell's) and checked for a session and worker count of at least 1, so a
     bad key or value is reported with the file and line it came from.
     """
-    argv: list[str] = []
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -253,6 +252,7 @@ def _config_file_argv(path: Path, command: str) -> list[str]:
     # Keys name an option in full: "time = 30" is unknown, not --timeslots.
     entry_parser = _EntryParser(add_help=False, allow_abbrev=False)
     _OPTIONS[command](entry_parser)
+    values = entry_parser.parse_args([])
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -261,25 +261,26 @@ def _config_file_argv(path: Path, command: str) -> list[str]:
             raise _ConfigError(f"{path}:{line_number}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        # A true/false value switches a flag: checked alone, given only if true.
+        # A true/false value sets a switch, an on/off flag whose dest is the key.
         switch = value.lower() in ("true", "false")
-        tokens = [flag] if switch else [flag, value]
         try:
-            entry, extras = entry_parser.parse_known_args(argv + tokens)
-            if command != "replay" and not extras:
-                _session_config(entry, sweep=command == "sweep")
-                for name in ("sessions", "workers"):
-                    if getattr(entry, name) < 1:
-                        raise ValueError(f"{name} must be >= 1, got {getattr(entry, name)}")
+            _, extras = entry_parser.parse_known_args([flag] if switch else [flag, value], values)
+            if extras:
+                unknown = extras[0] == flag
+                problem = f"unknown key {key!r}" if unknown else f"{key}: unexpected value {value!r}"
+                raise _ConfigError(problem)
+            if switch:
+                setattr(values, key.replace("-", "_"), value.lower() == "true")
+            if command == "run":
+                _session_config(values)
+            elif command == "sweep":
+                stats.sweep_cells(_session_config(values, sweep=True), _sweep_grid(values))
+            for name in ("sessions", "workers"):
+                if getattr(values, name, 1) < 1:  # replay has neither
+                    raise ValueError(f"{name} must be >= 1, got {getattr(values, name)}")
         except (_ConfigError, ValueError) as exc:
             raise _ConfigError(f"{path}:{line_number}: {exc}") from None
-        if extras:
-            unknown = extras[0] == flag
-            problem = f"unknown key {key!r}" if unknown else f"{key}: unexpected value {value!r}"
-            raise _ConfigError(f"{path}:{line_number}: {problem}")
-        if not switch or value.lower() == "true":
-            argv.extend(tokens)
-    return argv
+    return vars(values)
 
 
 def _session_config(args: argparse.Namespace, *, sweep: bool = False):
@@ -418,16 +419,19 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sweep_grid(args: argparse.Namespace) -> dict[str, list]:
+    """The grid named by the sweep's list options; an empty list is not swept."""
+    lists = {
+        "intercept_fraction": args.intercept,
+        "flip_probability": args.flip,
+        "loss_probability": args.loss,
+        "n_timeslots": args.sweep_timeslots,
+    }
+    return {name: values for name, values in lists.items() if values}
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    grid: dict[str, list] = {}
-    if args.intercept:
-        grid["intercept_fraction"] = args.intercept
-    if args.flip:
-        grid["flip_probability"] = args.flip
-    if args.loss:
-        grid["loss_probability"] = args.loss
-    if args.sweep_timeslots:
-        grid["n_timeslots"] = args.sweep_timeslots
+    grid = _sweep_grid(args)
     if not grid:
         print("duplexqkd: sweep grid is empty", file=sys.stderr)
         return 2
@@ -442,41 +446,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-
-    # A config file supplies defaults: its tokens are spliced in right after
-    # the subcommand, so later (explicit) command-line flags win.
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", type=Path, default=None)
-    known, _ = pre.parse_known_args(argv)
-    if known.config is not None:
-        insert_at = None
-        skip_next = False
-        for i, token in enumerate(argv):
-            if skip_next:
-                skip_next = False
-                continue
-            if token == "--config":
-                skip_next = True
-                continue
-            if token.startswith("--config="):
-                continue
-            insert_at = i + 1
-            break
-        if insert_at is None:
-            print("duplexqkd: --config given without a subcommand", file=sys.stderr)
-            return 2
-        command = argv[insert_at - 1]
-        if command in _OPTIONS:  # otherwise the parser below reports the subcommand
-            try:
-                file_argv = _config_file_argv(known.config, command)
-            except _ConfigError as exc:
-                print(f"duplexqkd: {exc}", file=sys.stderr)
-                return 2
-            argv = argv[:insert_at] + file_argv + argv[insert_at:]
-
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    if args.command is None:
+        if args.config is None:
+            parser.error("the following arguments are required: command")
+        print("duplexqkd: --config given without a subcommand", file=sys.stderr)
+        return 2
+    if args.config is not None:
+        # The file's values become the subcommand's defaults, so flags still win.
+        try:
+            commands[args.command].set_defaults(**_config_file_defaults(args.config, args.command))
+        except _ConfigError as exc:
+            print(f"duplexqkd: {exc}", file=sys.stderr)
+            return 2
+        args = parser.parse_args(argv)
 
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None and hasattr(args, "seed"):

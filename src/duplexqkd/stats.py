@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "aggregate_reports",
     "compare_protocols",
     "run_sweep",
+    "sweep_cells",
     "csv_table",
 ]
 
@@ -375,17 +376,12 @@ def _run_chunk(
     start: int,
     stop: int,
 ) -> list[SessionReport]:
-    """Reports of sessions ``start`` to ``stop - 1``, in batches of at most ``BATCH_SLOTS`` slots."""
-    per_batch = max(1, BATCH_SLOTS // config.n_timeslots)
-    reports = []
-    for first in range(start, stop, per_batch):
-        indices = range(first, min(first + per_batch, stop))
-        seeds = [derive_seed(master_seed, k) for k in indices]
-        if protocol == "bb84":
-            reports += _bb84_reports(config, run_bb84_sessions(config, seeds), indices, seeds)
-        else:
-            reports += _duplex_reports(config, run_duplex_sessions(config, seeds)[1], indices, seeds)
-    return reports
+    """Reports of sessions ``start`` to ``stop - 1``, run as one batch."""
+    indices = range(start, stop)
+    seeds = [derive_seed(master_seed, k) for k in indices]
+    if protocol == "bb84":
+        return _bb84_reports(config, run_bb84_sessions(config, seeds), indices, seeds)
+    return _duplex_reports(config, run_duplex_sessions(config, seeds)[1], indices, seeds)
 
 
 def effective_workers(requested: int, sessions: int, cpus: int | None) -> int:
@@ -398,44 +394,58 @@ def effective_workers(requested: int, sessions: int, cpus: int | None) -> int:
     return min(requested, sessions, cpus or 1)
 
 
-def run_sessions(
+def _run_cells(
     protocol: str,
-    config: Bb84Config | DuplexConfig,
+    cells: Sequence[tuple[Bb84Config | DuplexConfig, int]],
     sessions: int,
-    master_seed: int,
-    workers: int = 1,
-    *,
-    pool: Executor | None = None,
-) -> list[SessionReport]:
-    """Run independent sessions; session k is seeded by derive_seed(master, k).
+    workers: int,
+) -> Iterator[list[SessionReport]]:
+    """Yield the reports of each ``(config, master_seed)`` cell, in cell order.
 
-    Sessions run in batches through one transmission kernel call and one
-    classical phase each; every session still draws from its own seeded
-    generator, so batching changes no report.  With more than one effective
-    worker (see ``effective_workers``) contiguous chunks of about
-    ``sessions / (4 * workers)`` sessions are dispatched to ``pool``, or to
-    a process pool made for this call when none is given; results come back
-    in session-index order either way.
+    Each task is one batch of a cell's sessions: at most ``BATCH_SLOTS``
+    slots and, with more than one effective worker, about
+    ``sessions / (4 * workers)`` sessions.  All tasks run serially or
+    through one process pool; a cell is yielded once its tasks are back.
     """
     if protocol not in ("bb84", "duplex"):
         raise ValueError(f"unknown protocol {protocol!r}")
     if sessions < 1:
         raise ValueError("sessions must be >= 1")
     n_workers = effective_workers(workers, sessions, os.cpu_count())
-    if n_workers == 1:
-        return _run_chunk(protocol, config, master_seed, 0, sessions)
-    size = max(1, sessions // (n_workers * 4))
-    starts = range(0, sessions, size)
-    with nullcontext(pool) if pool is not None else ProcessPoolExecutor(n_workers) as executor:
-        chunks = executor.map(
-            _run_chunk,
-            [protocol] * len(starts),
-            [config] * len(starts),
-            [master_seed] * len(starts),
-            starts,
-            [min(start + size, sessions) for start in starts],
-        )
-        return [report for chunk in chunks for report in chunk]
+    size = sessions if n_workers == 1 else max(1, sessions // (n_workers * 4))
+    tasks, counts = [], []
+    for config, master_seed in cells:
+        step = min(size, max(1, BATCH_SLOTS // config.n_timeslots))
+        starts = range(0, sessions, step)
+        tasks += [(protocol, config, master_seed, s, min(s + step, sessions)) for s in starts]
+        counts.append(len(starts))
+    pool = ProcessPoolExecutor(n_workers) if n_workers > 1 else None
+    try:
+        chunks = (map if pool is None else pool.map)(_run_chunk, *zip(*tasks))
+        for count in counts:
+            yield [report for chunk in islice(chunks, count) for report in chunk]
+    finally:
+        if pool is not None:
+            # On an early exit, tasks of later cells that have not started never run.
+            pool.shutdown(cancel_futures=True)
+
+
+def run_sessions(
+    protocol: str,
+    config: Bb84Config | DuplexConfig,
+    sessions: int,
+    master_seed: int,
+    workers: int = 1,
+) -> list[SessionReport]:
+    """Run independent sessions; session k is seeded by derive_seed(master, k).
+
+    Sessions run in batches (see ``_run_cells``), each through one
+    transmission kernel call and one classical phase.  Every session draws
+    from its own seeded generator, so neither batching nor the worker count
+    (see ``effective_workers``) changes a report or its order.
+    """
+    (reports,) = _run_cells(protocol, [(config, master_seed)], sessions, workers)
+    return reports
 
 
 @dataclass(frozen=True)
@@ -602,6 +612,34 @@ def _apply_cell(
     return replace(config, **updates)
 
 
+def sweep_cells(
+    config: Bb84Config | DuplexConfig, grid: Mapping[str, Sequence[float]]
+) -> list[tuple[dict, Bb84Config | DuplexConfig]]:
+    """Each cell of ``grid`` as its ``{name: value}`` and its config, in cell order.
+
+    Names vary in ``SWEEPABLE`` order, the last fastest.  A bad grid, or a
+    value its config rejects, raises ``ValueError``.
+    """
+    if not grid:
+        raise ValueError("sweep grid must name at least one parameter")
+    for key, values in grid.items():
+        if key not in SWEEPABLE:
+            raise ValueError(f"cannot sweep {key!r}; choose from {SWEEPABLE}")
+        if len(values) == 0:
+            raise ValueError(f"sweep grid for {key!r} is empty")
+    mesh: list[dict] = [{}]
+    for name in (k for k in SWEEPABLE if k in grid):
+        mesh = [{**params, name: value} for params in mesh for value in grid[name]]
+    return [(params, _apply_cell(config, params)) for params in mesh]
+
+
+# The aggregate fields of a sweep row, after the cell's grid values.
+_SWEEP_FIELDS = (
+    "sessions", "detection_rate", "detection_halfwidth", "mean_error_rate",
+    "error_rate_halfwidth", "key_rate_per_timeslot", "key_rate_halfwidth", "pair_failure_rate",
+)
+
+
 def run_sweep(
     protocol: str,
     config: Bb84Config | DuplexConfig,
@@ -612,46 +650,17 @@ def run_sweep(
 ) -> SweepResult:
     """Cross a parameter grid and aggregate ``sessions`` runs per cell.
 
-    Cell c's sessions use seeds derived from (master_seed, c, k), so any
-    single cell can be reproduced without rerunning the sweep.  With more
-    than one effective worker, one process pool serves every cell.
+    Every cell's config is built (``sweep_cells``) before any session runs.
+    Cell c's sessions use seeds derived from (master_seed, c, k), so
+    ``run_sessions`` reproduces any single cell.  All cells run as one task
+    list, through at most one process pool, and each cell is aggregated as
+    soon as its sessions are back.
     """
-    if not grid:
-        raise ValueError("sweep grid must name at least one parameter")
-    for key, values in grid.items():
-        if key not in SWEEPABLE:
-            raise ValueError(f"cannot sweep {key!r}; choose from {SWEEPABLE}")
-        if len(values) == 0:
-            raise ValueError(f"sweep grid for {key!r} is empty")
-
-    n_workers = effective_workers(workers, sessions, os.cpu_count())
-    names = [k for k in SWEEPABLE if k in grid]
-    mesh = [()]
-    for name in names:
-        mesh = [cell + (value,) for cell in mesh for value in grid[name]]
-
+    cells = sweep_cells(config, grid)
+    seeded = [(cell_config, derive_seed(master_seed, c)) for c, (_, cell_config) in enumerate(cells)]
     rows = []
-    with ProcessPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
-        for cell_index, cell in enumerate(mesh):
-            params = dict(zip(names, cell))
-            cell_config = _apply_cell(config, params)
-            reports = run_sessions(
-                protocol, cell_config, sessions, derive_seed(master_seed, cell_index),
-                n_workers, pool=pool,
-            )
-            stats = aggregate_reports(reports)
-            row = {**params}
-            row.update(
-                {
-                    "sessions": stats.sessions,
-                    "detection_rate": stats.detection_rate,
-                    "detection_halfwidth": stats.detection_halfwidth,
-                    "mean_error_rate": stats.mean_error_rate,
-                    "error_rate_halfwidth": stats.error_rate_halfwidth,
-                    "key_rate_per_timeslot": stats.key_rate_per_timeslot,
-                    "key_rate_halfwidth": stats.key_rate_halfwidth,
-                    "pair_failure_rate": stats.pair_failure_rate,
-                }
-            )
-            rows.append(row)
+    # The runs lead the zip, so they are drained and the pool is shut down.
+    for reports, (params, _) in zip(_run_cells(protocol, seeded, sessions, workers), cells):
+        stats = aggregate_reports(reports)
+        rows.append({**params, **{name: getattr(stats, name) for name in _SWEEP_FIELDS}})
     return SweepResult(protocol, tuple(rows))

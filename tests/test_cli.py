@@ -370,3 +370,49 @@ def test_run_with_zero_sessions_exits_2(tmp_path, capsys):
     line = _one_error_line(capsys.readouterr().err)
     assert line == "duplexqkd: sessions must be >= 1"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("intercept = 0,2\n", "1: intercept_fraction must lie in [0, 1], got 2.0"),
+        ("sweep_timeslots = 57,1\n", "1: n_timeslots must be >= 2, got 1"),
+    ],
+    ids=["invalid-intercept-value", "invalid-timeslots-value"],
+)
+def test_sweep_config_grid_values_name_the_file_and_line(tmp_path, capsys, text, message):
+    config = tmp_path / "grid.conf"
+    config.write_text(text)
+    argv = ["--config", str(config), "sweep", "--sessions", "2", "--timeslots", "10"]
+    assert run_cli(*argv, "--out", str(tmp_path / "out")) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == f"duplexqkd: {config}:{message}"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--conf {}", "--con={}"], ids=["conf", "con-equals"])
+def test_abbreviated_config_flag_applies_the_file(tmp_path, capsys, flag):
+    config = tmp_path / "run.conf"
+    config.write_text("timeslots = 30\nsessions = 3\n")
+    out = tmp_path / "out"
+    assert run_cli(*flag.format(config).split(" "), "run", "--out", str(out)) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["sessions"] == 3
+
+    config.write_text("sessions = 0\n")
+    capsys.readouterr()
+    assert run_cli(*flag.format(config).split(" "), "run", "--out", str(tmp_path / "bad")) == 2
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == f"duplexqkd: {config}:1: sessions must be >= 1, got 0"
+    assert not (tmp_path / "bad").exists()
+
+
+def test_later_switch_line_overrides_an_earlier_one(tmp_path):
+    config = tmp_path / "switch.conf"
+    config.write_text(
+        "variant = search_pairs\ndiscard_searched_key = true\ndiscard_searched_key = false\n"
+    )
+    out = tmp_path / "out"
+    assert run_cli("--config", str(config), "run", "--timeslots", "40", "--out", str(out)) == 0
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["config"]["discard_searched_key"] is False
+    assert payload["sessions"][0]["keyed_search_pairs"] is True

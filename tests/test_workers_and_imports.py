@@ -133,3 +133,17 @@ def test_package_root_exports_exactly_the_public_api():
     assert sorted(duplexqkd.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         assert getattr(duplexqkd, name) is not None, name
+
+
+def test_run_sweep_checks_every_cell_before_running_any(monkeypatch):
+    from duplexqkd import stats
+
+    calls = []
+    run_chunk = stats._run_chunk
+    monkeypatch.setattr(stats, "_run_chunk", lambda *args: calls.append(args) or run_chunk(*args))
+    config = DuplexConfig(n_timeslots=20)
+    with pytest.raises(ValueError, match=r"intercept_fraction must lie in \[0, 1\], got 2.0"):
+        run_sweep("duplex", config, {"intercept_fraction": [0.0, 2.0]}, sessions=2, master_seed=1)
+    assert calls == []
+    run_sweep("duplex", config, {"intercept_fraction": [0.0, 1.0]}, sessions=2, master_seed=1)
+    assert len(calls) == 2
