@@ -27,12 +27,11 @@ import numpy as np
 from .adversary import EveRecord, EveStrategy
 from .quantum import Bit, ChannelModel
 from .rng import seeded_rng, session_generator
-from .transmission import SlotColumns, SlotRecord, intercept_records, slot_records, transmit_sessions
+from .transmission import (
+    SessionCounts, SlotColumns, SlotRecord, intercept_records, slot_records, transmit_sessions,
+)
 
-__all__ = [
-    "Bb84Config", "Bb84Outcome", "Bb84Sessions", "error_estimate", "run_bb84_sessions", "run_bb84",
-    "sift",
-]
+__all__ = ["Bb84Config", "Bb84Outcome", "Bb84Sessions", "run_bb84_sessions", "run_bb84", "sift"]
 
 
 def sift(records: list[SlotRecord]) -> list[SlotRecord]:
@@ -85,29 +84,34 @@ class Bb84Outcome:
     count properties never build them.
     """
 
-    def __init__(self, batch: Bb84Sessions, detection_threshold: float):
+    def __init__(self, batch: Bb84Sessions):
         self.batch = batch
         self.columns = batch.columns
-        self.sample_errors = int(batch.sample_errors[0])
-        self.estimated_error_rate, self.detected = error_estimate(
-            self.sample_errors, self.sampled_count, detection_threshold
-        )
+        self.detected = bool(batch.counts.detected[0])
 
     @property
     def sifted_count(self) -> int:
-        return int(self.batch.sifted_count[0])
+        return int(self.batch.counts.sifted[0])
 
     @property
     def sampled_count(self) -> int:
-        return int(self.batch.sampled_count[0])
+        return int(self.batch.counts.sampled[0])
+
+    @property
+    def sample_errors(self) -> int:
+        return int(self.batch.counts.failures[0])
+
+    @property
+    def estimated_error_rate(self) -> float:
+        return self.sample_errors / self.sampled_count if self.sampled_count else 0.0
 
     @property
     def key_length(self) -> int:
-        return len(self.batch.kept)
+        return int(self.batch.counts.key_length[0])
 
     @property
     def keys_agree(self) -> bool:
-        return not self.batch.key_errors[0]
+        return not self.batch.counts.key_errors[0]
 
     @cached_property
     def sifted_records(self) -> list[SlotRecord]:
@@ -135,29 +139,23 @@ class Bb84Outcome:
         return intercept_records(self.columns)
 
 
-def error_estimate(errors: int, sampled: int, detection_threshold: float) -> tuple[float, bool]:
-    """The sample's error rate, and whether it exceeds the detection threshold."""
-    rate = errors / sampled if sampled else 0.0
-    return rate, rate > detection_threshold
-
-
 class Bb84Sessions(NamedTuple):
     """A batch of baseline sessions of ``n`` slots each.
 
     ``columns`` are the sessions' slots back to back (session ``j`` holds
     entries ``j * n`` to ``(j + 1) * n``); ``sifted``, ``sampled`` and
-    ``kept`` are slot indices into them, in session order.  The count
-    arrays have one entry per session.
+    ``kept`` are slot indices into them, in session order.  ``counts`` is
+    the sessions' tally: every sifted slot is checked, the compared sample
+    is revealed and sacrificed, ``failures`` are its slots whose two bits
+    differ, and a session is detected when their share of the sample
+    exceeds the detection threshold.  A session never aborts.
     """
 
     columns: SlotColumns
     sifted: np.ndarray
     sampled: np.ndarray
     kept: np.ndarray
-    sifted_count: np.ndarray
-    sampled_count: np.ndarray
-    sample_errors: np.ndarray
-    key_errors: np.ndarray  # kept slots whose two bits differ
+    counts: SessionCounts
 
 
 def run_bb84_sessions(config: Bb84Config, seeds: Sequence[int]) -> Bb84Sessions:
@@ -188,16 +186,22 @@ def run_bb84_sessions(config: Bb84Config, seeds: Sequence[int]) -> Bb84Sessions:
         in_sample[start + gen.permutation(survivors)[:sample_size]] = True
         start += survivors
     wrong = columns.receiver_bit[sifted] != columns.sender_bit[sifted]
-    return Bb84Sessions(
-        columns,
-        sifted,
-        sifted[in_sample],
-        sifted[~in_sample],
-        sifted_count,
-        np.bincount(session[in_sample], minlength=count),
-        np.bincount(session[in_sample & wrong], minlength=count),
-        np.bincount(session[~in_sample & wrong], minlength=count),
+    sampled = np.bincount(session[in_sample], minlength=count)
+    failures = np.bincount(session[in_sample & wrong], minlength=count)
+    rate = np.divide(failures, sampled, out=np.zeros(count), where=sampled > 0)
+    counts = SessionCounts(
+        sifted=sifted_count,
+        checked=sifted_count,
+        revealed=sampled,
+        failures=failures,
+        sampled=sampled,
+        unpaired=np.zeros_like(sampled),
+        key_length=sifted_count - sampled,
+        key_errors=np.bincount(session[~in_sample & wrong], minlength=count),
+        detected=rate > config.detection_threshold,
+        aborted=np.zeros(count, dtype=bool),
     )
+    return Bb84Sessions(columns, sifted, sifted[in_sample], sifted[~in_sample], counts)
 
 
 def run_bb84(config: Bb84Config) -> Bb84Outcome:
@@ -207,4 +211,4 @@ def run_bb84(config: Bb84Config) -> Bb84Outcome:
     slot, on ``session_generator(seeded_rng(config.seed))``; the same
     generator then draws the compared sample.
     """
-    return Bb84Outcome(run_bb84_sessions(config, [config.seed]), config.detection_threshold)
+    return Bb84Outcome(run_bb84_sessions(config, [config.seed]))

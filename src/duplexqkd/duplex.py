@@ -54,6 +54,7 @@ from .transmission import (
     BASES,
     Direction,
     Party,
+    SessionCounts,
     SlotColumns,
     SlotRecord,
     intercept_records,
@@ -74,7 +75,6 @@ __all__ = [
     "DuplexConfig",
     "DuplexSessionResult",
     "ClassicalPhase",
-    "SessionCounts",
     "TranscriptFormatError",
     "run_duplex_transmission",
     "announce_bases",
@@ -543,25 +543,15 @@ class DuplexConfig:
             raise ValueError("max_pairs must be non-negative")
 
 
-class SessionCounts(NamedTuple):
-    """Per-session tallies of a classical phase, one entry per session."""
-
-    sifted: np.ndarray  # set 2 plus set 3
-    checked: np.ndarray
-    failures: np.ndarray
-    unpaired: np.ndarray
-    key_length: np.ndarray
-    key_errors: np.ndarray  # key positions where Alice's and Bob's bits differ
-
-
 class ClassicalPhase(NamedTuple):
     """The classical phase of a batch of exchanges on slot-index arrays.
 
     Slot arrays hold 0-based indices into the columns the phase ran on (for
     a batch of sessions, ``j * n + timeslot - 1`` in session ``j``), in
     session order; pair arrays have one entry per published pair, in
-    publication order within each session.  ``aborted`` and ``counts`` have
-    one entry per session.
+    publication order within each session.  ``counts`` is the sessions'
+    tally: ``sifted`` is set 2 plus set 3, every checked pair is revealed
+    and a session is detected exactly when it aborts.
     """
 
     discard: np.ndarray  # Bob's discard reply, as a mask over slots
@@ -575,7 +565,6 @@ class ClassicalPhase(NamedTuple):
     key: np.ndarray  # per pair: contributes a key bit
     alice_key: np.ndarray
     bob_key: np.ndarray
-    aborted: np.ndarray
     counts: SessionCounts
 
 
@@ -600,8 +589,8 @@ class DuplexSessionResult:
         self.config = config
         self.columns = columns
         self.phase = phase
-        self.aborted = bool(phase.aborted[0])
-        self.detected = self.aborted
+        self.aborted = bool(phase.counts.aborted[0])
+        self.detected = bool(phase.counts.detected[0])
 
     @property
     def n_timeslots(self) -> int:
@@ -848,14 +837,17 @@ def classical_phase(
     counts = SessionCounts(
         sifted=np.bincount(set2 // n, minlength=sessions) + np.bincount(set3 // n, minlength=sessions),
         checked=checked,
+        revealed=checked,
         failures=failures,
+        sampled=np.zeros_like(checked),
         unpaired=np.bincount(unpaired // n, minlength=sessions),
         key_length=np.bincount(key_session, minlength=sessions),
         key_errors=np.bincount(key_session[alice_key != bob_key], minlength=sessions),
+        detected=aborted,
+        aborted=aborted,
     )
     return ClassicalPhase(
-        discard, set2, set3, t2, t3, flip, unpaired, failed, key, alice_key, bob_key,
-        aborted, counts,
+        discard, set2, set3, t2, t3, flip, unpaired, failed, key, alice_key, bob_key, counts
     )
 
 
@@ -930,35 +922,45 @@ _RECEIVER_BIT_TOKENS = {**_BIT_TOKENS, _LOST_TOKEN: -1}
 _BAD = -2
 
 
-def _row_error(line_number: int, fields: list[str]) -> TranscriptFormatError:
-    """The error of a row that breaks the grammar: its first bad field wins."""
+def _check_row(line_number: int, fields: list[str]) -> int:
+    """The timeslot of a valid row; a bad row raises ``TranscriptFormatError``
+    for its first bad field.
+    """
     if len(fields) != 6:
-        return TranscriptFormatError(line_number, f"expected 6 columns, got {len(fields)}")
+        raise TranscriptFormatError(line_number, f"expected 6 columns, got {len(fields)}")
     raw_t, raw_dir, raw_sb, raw_sbit, raw_rb, raw_rbit = fields
     try:
         timeslot = int(raw_t)
     except ValueError:
-        return TranscriptFormatError(line_number, f"bad timeslot {raw_t!r}")
+        raise TranscriptFormatError(line_number, f"bad timeslot {raw_t!r}") from None
     if timeslot < 1:
-        return TranscriptFormatError(line_number, f"timeslot must be positive, got {timeslot}")
+        raise TranscriptFormatError(line_number, f"timeslot must be positive, got {timeslot}")
     if raw_dir not in _DIRECTION_TOKENS:
-        return TranscriptFormatError(line_number, f"bad direction {raw_dir!r}")
+        raise TranscriptFormatError(line_number, f"bad direction {raw_dir!r}")
     if raw_sb not in _BASIS_TOKENS or raw_rb not in _BASIS_TOKENS:
-        return TranscriptFormatError(line_number, f"bad basis in {raw_sb!r}/{raw_rb!r}")
+        raise TranscriptFormatError(line_number, f"bad basis in {raw_sb!r}/{raw_rb!r}")
     if raw_sbit not in _BIT_TOKENS:
-        return TranscriptFormatError(line_number, f"bad sender bit {raw_sbit!r}")
-    return TranscriptFormatError(line_number, f"bad receiver bit {raw_rbit!r}")
+        raise TranscriptFormatError(line_number, f"bad sender bit {raw_sbit!r}")
+    if raw_rbit not in _RECEIVER_BIT_TOKENS:
+        raise TranscriptFormatError(line_number, f"bad receiver bit {raw_rbit!r}")
+    return timeslot
+
+
+def _raise_first_bad_row(lines: Sequence[str]) -> None:
+    """Raise ``TranscriptFormatError`` for the first row, in line order, that
+    breaks the grammar or repeats an earlier timeslot.
+    """
+    seen = set()
+    for line_number, fields in enumerate(_split_lines(lines), start=1):
+        if fields:
+            timeslot = _check_row(line_number, fields)
+            if timeslot in seen:
+                raise TranscriptFormatError(line_number, f"duplicate timeslot {timeslot}")
+            seen.add(timeslot)
 
 
 def _codes(table: dict[str, int], tokens: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(table.get, tokens, repeat(_BAD)), dtype=np.int8, count=len(tokens))
-
-
-def _int_or_zero(token: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        return 0  # not a positive timeslot, so the row is flagged
 
 
 def _split_lines(lines: Sequence[str]) -> list[list[str]]:
@@ -966,20 +968,17 @@ def _split_lines(lines: Sequence[str]) -> list[list[str]]:
     return [(line.split("#", 1)[0] if "#" in line else line).split() for line in lines]
 
 
-def _code_rows(rows: Sequence[list[str]]) -> tuple[list[np.ndarray], int]:
-    """Code the rows' tokens as columns, up to the first row that breaks the grammar.
-
-    Returns the six columns (``_COLUMNS`` order, direction as its code) of
-    the rows before that row, and its index (``len(rows)`` if none).
+def _code_rows(rows: Sequence[list[str]]) -> list[np.ndarray] | None:
+    """The rows' tokens coded as columns (``_COLUMNS`` order, direction as
+    its code), or None if a row breaks the grammar.
     """
-    first_bad = len(rows)
     if set(map(len, rows)) - {6}:
-        first_bad = next(i for i, fields in enumerate(rows) if len(fields) != 6)
-    raw_t, raw_dir, raw_sb, raw_sbit, raw_rb, raw_rbit = list(zip(*rows[:first_bad])) or [()] * 6
+        return None
+    raw_t, raw_dir, raw_sb, raw_sbit, raw_rb, raw_rbit = list(zip(*rows)) or [()] * 6
     try:
         timeslot = _timeslot_column(list(map(int, raw_t)))
     except ValueError:
-        timeslot = _timeslot_column([_int_or_zero(token) for token in raw_t])
+        return None
     columns = [
         timeslot,
         _codes(_DIRECTION_TOKENS, raw_dir),
@@ -991,10 +990,7 @@ def _code_rows(rows: Sequence[list[str]]) -> tuple[list[np.ndarray], int]:
     bad = timeslot < 1
     for codes in columns[1:]:
         bad |= codes == _BAD
-    if bad.any():
-        first_bad = int(np.argmax(bad))
-        columns = [column[:first_bad] for column in columns]
-    return columns, first_bad
+    return None if bad.any() else columns
 
 
 # Lines split at a time: only one block's token lists are alive at once, so
@@ -1010,30 +1006,22 @@ def parse_transcript(text: str) -> Transcript:
     token is coded by a table lookup.  A text that breaks the grammar raises
     ``TranscriptFormatError`` for its first bad row in line order (a row
     with a bad field, or one repeating an earlier timeslot), with the line
-    number ``str.splitlines`` gives it.
+    number ``str.splitlines`` gives it: when a block holds a bad row, or a
+    timeslot repeats, a row-by-row scan finds that row.
     """
     lines = text.splitlines()
-    blocks = [_code_rows([])[0]]
-    bad_row = None
+    blocks = [_code_rows([])]
     for start in range(0, len(lines), _BLOCK_LINES):
-        rows = list(filter(None, _split_lines(lines[start : start + _BLOCK_LINES])))
-        columns, first_bad = _code_rows(rows)
+        columns = _code_rows(list(filter(None, _split_lines(lines[start : start + _BLOCK_LINES]))))
+        if columns is None:
+            _raise_first_bad_row(lines)
         blocks.append(columns)
-        if first_bad < len(rows):
-            bad_row = rows[first_bad]
-            break
-    # Every row before ``bad_row`` is in the columns.
     columns = [np.concatenate(parts) for parts in zip(*blocks)]
     timeslot = columns[0]
     order = np.argsort(timeslot, kind="stable")
     ordered = timeslot[order]
-    repeats = order[1:][ordered[1:] == ordered[:-1]]  # rows repeating an earlier timeslot
-    if len(repeats) or bad_row is not None:
-        numbers = [number for number, fields in enumerate(_split_lines(lines), start=1) if fields]
-        if len(repeats):
-            first = int(repeats.min())
-            raise TranscriptFormatError(numbers[first], f"duplicate timeslot {timeslot[first]}")
-        raise _row_error(numbers[len(timeslot)], bad_row)
+    if (ordered[1:] == ordered[:-1]).any():
+        _raise_first_bad_row(lines)
     columns[1] = columns[1].astype(bool)
     if not (timeslot[1:] > timeslot[:-1]).all():
         columns = [column[order] for column in columns]

@@ -25,10 +25,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .adversary import EveRecord, EveStrategy
-from .bb84 import Bb84Config, Bb84Outcome, Bb84Sessions, error_estimate, run_bb84_sessions
-from .duplex import ClassicalPhase, DuplexConfig, DuplexSessionResult, Triple, run_duplex_sessions
+from .bb84 import Bb84Config, Bb84Outcome, run_bb84_sessions
+from .duplex import DuplexConfig, DuplexSessionResult, Triple, run_duplex_sessions
 from .quantum import Basis, ChannelModel
 from .rng import derive_seed
+from .transmission import SessionCounts
 
 __all__ = [
     "SessionReport",
@@ -125,39 +126,7 @@ def report_from_duplex(
     session_index: int | None = None,
     seed: int | None = None,
 ) -> SessionReport:
-    return _duplex_reports(result.config, result.phase, [session_index], [seed])[0]
-
-
-def _duplex_reports(
-    config: DuplexConfig, phase: ClassicalPhase, indices: Sequence, seeds: Sequence
-) -> list[SessionReport]:
-    """One report per session of a batch's classical phase."""
-    c = phase.counts
-    keyed_search_pairs = config.keep_searched_key if config.variant == "search_pairs" else None
-    return [
-        SessionReport(
-            protocol="duplex",
-            n_timeslots=config.n_timeslots,
-            sifted=sifted,
-            sifted_or_paired=checked,
-            failures=failures,
-            estimated_error_rate=failures / checked if checked else 0.0,
-            key_length=key_length,
-            keys_agree=key_errors == 0,
-            eve_pair_bits_revealed=checked,
-            detected=aborted,
-            aborted=aborted,
-            unpaired=unpaired,
-            variant=config.variant,
-            keyed_search_pairs=keyed_search_pairs,
-            session_index=index,
-            seed=seed,
-        )
-        for index, seed, sifted, checked, failures, unpaired, key_length, key_errors, aborted in zip(
-            indices, seeds, c.sifted.tolist(), c.checked.tolist(), c.failures.tolist(),
-            c.unpaired.tolist(), c.key_length.tolist(), c.key_errors.tolist(), phase.aborted.tolist(),
-        )
-    ]
+    return _reports(result.config, result.phase.counts, [session_index], [seed])[0]
 
 
 def report_from_bb84(
@@ -166,37 +135,44 @@ def report_from_bb84(
     session_index: int | None = None,
     seed: int | None = None,
 ) -> SessionReport:
-    return _bb84_reports(config, outcome.batch, [session_index], [seed])[0]
+    _check_protocol("bb84", config)
+    return _reports(config, outcome.batch.counts, [session_index], [seed])[0]
 
 
-def _bb84_reports(
-    config: Bb84Config, batch: Bb84Sessions, indices: Sequence, seeds: Sequence
+def _reports(
+    config: Bb84Config | DuplexConfig, counts: SessionCounts, indices: Sequence, seeds: Sequence
 ) -> list[SessionReport]:
-    """One report per session of a batch of baseline sessions."""
-    reports = []
-    for index, seed, sifted, sampled, errors, key_errors in zip(
-        indices, seeds, batch.sifted_count.tolist(), batch.sampled_count.tolist(),
-        batch.sample_errors.tolist(), batch.key_errors.tolist(),
-    ):
-        rate, detected = error_estimate(errors, sampled, config.detection_threshold)
-        reports.append(
-            SessionReport(
-                protocol="bb84",
-                n_timeslots=config.n_timeslots,
-                sifted=sifted,
-                sifted_or_paired=sifted,
-                failures=errors,
-                estimated_error_rate=rate,
-                key_length=sifted - sampled,
-                keys_agree=key_errors == 0,
-                eve_pair_bits_revealed=sampled,
-                detected=detected,
-                sampled=sampled,
-                session_index=index,
-                seed=seed,
-            )
+    """One report per session of a batch's tally; the config's type names the protocol."""
+    if isinstance(config, DuplexConfig):
+        protocol, variant = "duplex", config.variant
+        keyed_search_pairs = config.keep_searched_key if variant == "search_pairs" else None
+    else:
+        protocol, variant, keyed_search_pairs = "bb84", None, None
+    return [
+        SessionReport(
+            protocol=protocol,
+            n_timeslots=config.n_timeslots,
+            sifted=sifted,
+            sifted_or_paired=checked,
+            failures=failures,
+            estimated_error_rate=failures / revealed if revealed else 0.0,
+            key_length=key_length,
+            keys_agree=key_errors == 0,
+            eve_pair_bits_revealed=revealed,
+            detected=detected,
+            aborted=aborted,
+            sampled=sampled,
+            unpaired=unpaired,
+            variant=variant,
+            keyed_search_pairs=keyed_search_pairs,
+            session_index=index,
+            seed=seed,
         )
-    return reports
+        for (
+            index, seed, sifted, checked, revealed, failures, sampled, unpaired, key_length,
+            key_errors, detected, aborted,
+        ) in zip(indices, seeds, *(column.tolist() for column in counts))
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -370,18 +346,24 @@ BATCH_SLOTS = 1 << 16
 
 
 def _run_chunk(
-    protocol: str,
-    config: Bb84Config | DuplexConfig,
-    master_seed: int,
-    start: int,
-    stop: int,
+    config: Bb84Config | DuplexConfig, master_seed: int, start: int, stop: int
 ) -> list[SessionReport]:
     """Reports of sessions ``start`` to ``stop - 1``, run as one batch."""
     indices = range(start, stop)
     seeds = [derive_seed(master_seed, k) for k in indices]
-    if protocol == "bb84":
-        return _bb84_reports(config, run_bb84_sessions(config, seeds), indices, seeds)
-    return _duplex_reports(config, run_duplex_sessions(config, seeds)[1], indices, seeds)
+    if isinstance(config, DuplexConfig):
+        counts = run_duplex_sessions(config, seeds)[1].counts
+    else:
+        counts = run_bb84_sessions(config, seeds).counts
+    return _reports(config, counts, indices, seeds)
+
+
+def _check_protocol(protocol: str, config: Bb84Config | DuplexConfig) -> None:
+    """Raise ``ValueError`` unless ``protocol`` names the protocol of ``config``."""
+    if protocol not in ("bb84", "duplex"):
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if not isinstance(config, DuplexConfig if protocol == "duplex" else Bb84Config):
+        raise ValueError(f"protocol {protocol!r} does not match a {type(config).__name__}")
 
 
 def effective_workers(requested: int, sessions: int, cpus: int | None) -> int:
@@ -395,7 +377,6 @@ def effective_workers(requested: int, sessions: int, cpus: int | None) -> int:
 
 
 def _run_cells(
-    protocol: str,
     cells: Sequence[tuple[Bb84Config | DuplexConfig, int]],
     sessions: int,
     workers: int,
@@ -407,8 +388,6 @@ def _run_cells(
     ``sessions / (4 * workers)`` sessions.  All tasks run serially or
     through one process pool; a cell is yielded once its tasks are back.
     """
-    if protocol not in ("bb84", "duplex"):
-        raise ValueError(f"unknown protocol {protocol!r}")
     if sessions < 1:
         raise ValueError("sessions must be >= 1")
     n_workers = effective_workers(workers, sessions, os.cpu_count())
@@ -417,7 +396,7 @@ def _run_cells(
     for config, master_seed in cells:
         step = min(size, max(1, BATCH_SLOTS // config.n_timeslots))
         starts = range(0, sessions, step)
-        tasks += [(protocol, config, master_seed, s, min(s + step, sessions)) for s in starts]
+        tasks += [(config, master_seed, s, min(s + step, sessions)) for s in starts]
         counts.append(len(starts))
     pool = ProcessPoolExecutor(n_workers) if n_workers > 1 else None
     try:
@@ -439,12 +418,15 @@ def run_sessions(
 ) -> list[SessionReport]:
     """Run independent sessions; session k is seeded by derive_seed(master, k).
 
-    Sessions run in batches (see ``_run_cells``), each through one
-    transmission kernel call and one classical phase.  Every session draws
-    from its own seeded generator, so neither batching nor the worker count
-    (see ``effective_workers``) changes a report or its order.
+    ``protocol`` ("bb84" or "duplex") must name the protocol of ``config``,
+    or ``ValueError`` is raised before any session runs.  Sessions run in
+    batches (see ``_run_cells``), each through one transmission kernel call
+    and one classical phase.  Every session draws from its own seeded
+    generator, so neither batching nor the worker count (see
+    ``effective_workers``) changes a report or its order.
     """
-    (reports,) = _run_cells(protocol, [(config, master_seed)], sessions, workers)
+    _check_protocol(protocol, config)
+    (reports,) = _run_cells([(config, master_seed)], sessions, workers)
     return reports
 
 
@@ -650,17 +632,19 @@ def run_sweep(
 ) -> SweepResult:
     """Cross a parameter grid and aggregate ``sessions`` runs per cell.
 
-    Every cell's config is built (``sweep_cells``) before any session runs.
-    Cell c's sessions use seeds derived from (master_seed, c, k), so
-    ``run_sessions`` reproduces any single cell.  All cells run as one task
-    list, through at most one process pool, and each cell is aggregated as
-    soon as its sessions are back.
+    ``protocol`` must name the protocol of ``config``, as for
+    ``run_sessions``.  Every cell's config is built (``sweep_cells``) before
+    any session runs.  Cell c's sessions use seeds derived from
+    (master_seed, c, k), so ``run_sessions`` reproduces any single cell.
+    All cells run as one task list, through at most one process pool, and
+    each cell is aggregated as soon as its sessions are back.
     """
+    _check_protocol(protocol, config)
     cells = sweep_cells(config, grid)
     seeded = [(cell_config, derive_seed(master_seed, c)) for c, (_, cell_config) in enumerate(cells)]
     rows = []
     # The runs lead the zip, so they are drained and the pool is shut down.
-    for reports, (params, _) in zip(_run_cells(protocol, seeded, sessions, workers), cells):
+    for reports, (params, _) in zip(_run_cells(seeded, sessions, workers), cells):
         stats = aggregate_reports(reports)
         rows.append({**params, **{name: getattr(stats, name) for name in _SWEEP_FIELDS}})
     return SweepResult(protocol, tuple(rows))

@@ -17,14 +17,15 @@ generator's seed.  ``transmit_sessions`` simulates a batch of sessions,
 each drawing from its own generator, in one pass over their concatenated
 slots; ``transmit_columns`` is a batch of one.  ``SlotRecord`` is the
 per-slot object form of the same data, used by transcripts, replay and the
-reference step functions.
+reference step functions.  ``SessionCounts`` is the per-session tally both
+protocols' batch runners fill and every session report is built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +33,8 @@ from .adversary import BasisPolicy, EveRecord, EveStrategy
 from .quantum import Basis, Bit, ChannelModel
 
 __all__ = [
-    "Direction", "SlotRecord", "SlotColumns", "transmit_columns", "transmit_sessions",
-    "slot_records", "intercept_records",
+    "Direction", "SlotRecord", "SlotColumns", "SessionCounts", "transmit_columns",
+    "transmit_sessions", "slot_records", "intercept_records",
 ]
 
 Party = Literal["alice", "bob"]
@@ -102,6 +103,27 @@ class SlotColumns:
 
     def __len__(self) -> int:
         return len(self.alice_sends)
+
+
+class SessionCounts(NamedTuple):
+    """Per-session tallies of a batch of either protocol, one entry per session.
+
+    ``checked`` is the protocol's unit of checked data (sifted slots for
+    bb84, checked pairs for duplex).  ``revealed`` counts the bits of
+    bit-value information made public: bb84's compared sample, one XOR per
+    duplex pair.  ``failures`` counts the revealed checks that failed.
+    """
+
+    sifted: np.ndarray
+    checked: np.ndarray
+    revealed: np.ndarray
+    failures: np.ndarray
+    sampled: np.ndarray
+    unpaired: np.ndarray
+    key_length: np.ndarray
+    key_errors: np.ndarray  # key positions where the two parties' bits differ
+    detected: np.ndarray
+    aborted: np.ndarray
 
 
 def transmit_columns(

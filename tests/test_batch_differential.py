@@ -105,7 +105,7 @@ def test_batched_duplex_phase_is_each_session_phase(config, sessions, master_see
         )
         assert phase.alice_key[key_session == j].tolist() == alone.alice_key
         assert phase.bob_key[key_session == j].tolist() == alone.bob_key
-        assert bool(phase.aborted[j]) == alone.aborted
+        assert bool(phase.counts.aborted[j]) == alone.aborted
 
 
 @given(bb84_configs(), st.integers(1, 6), st.integers(0, 2**31))
@@ -119,7 +119,29 @@ def test_batched_bb84_samples_are_each_session_sample(config, sessions, master_s
         kept = batch.kept[batch.kept // n == j]
         assert (sampled - j * n + 1).tolist() == alone.sampled_timeslots
         assert (kept - j * n + 1).tolist() == alone.key_timeslots
-        assert int(batch.sample_errors[j]) == alone.sample_errors
+        assert int(batch.counts.failures[j]) == alone.sample_errors
+
+
+@given(batch_runs())
+def test_session_counts_tally_each_protocol(run):
+    protocol, config, sessions, master_seed, _ = run
+    seeds = [derive_seed(master_seed, k) for k in range(sessions)]
+    if protocol == "duplex":
+        counts = run_duplex_sessions(config, seeds)[1].counts
+        assert (counts.sifted == 2 * counts.checked + counts.unpaired).all()
+        assert (counts.revealed == counts.checked).all()
+        assert not counts.sampled.any()
+        assert (counts.detected == counts.aborted).all()
+    else:
+        counts = run_bb84_sessions(config, seeds).counts
+        assert (counts.sifted == counts.key_length + counts.sampled).all()
+        assert (counts.checked == counts.sifted).all()
+        assert (counts.revealed == counts.sampled).all()
+        assert not counts.unpaired.any()
+        assert not counts.aborted.any()
+    assert (counts.failures <= counts.revealed).all()
+    assert (counts.key_errors <= counts.key_length).all()
+    assert all(len(column) == sessions for column in counts)
 
 
 def test_duplex_worker_pool_matches_serial_on_uneven_chunks():

@@ -45,6 +45,20 @@ def test_run_writes_csv_table(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize(
+    "command,files",
+    [("run", ("report.json", "sessions.csv")), ("sweep", ("sweep.json", "sweep.csv"))],
+)
+@pytest.mark.parametrize("out_format", ["json", "csv", "both"])
+def test_format_writes_only_the_chosen_report_files(tmp_path, command, files, out_format):
+    out = tmp_path / "out"
+    argv = [command, "--timeslots", "20", "--sessions", "2", "--format", out_format, "--out", str(out)]
+    assert run_cli(*argv) == 0
+    json_name, csv_name = files
+    expected = {"json": {json_name}, "csv": {csv_name}, "both": {json_name, csv_name}}[out_format]
+    assert {path.name for path in out.iterdir()} == expected
+
+
 def test_run_rejects_invalid_config():
     assert run_cli("run", "--timeslots", "0") == 2
 

@@ -229,7 +229,7 @@ def test_sessions_and_replay_share_one_classical_phase(variant, seed):
         parse_transcript(format_transcript(session.transcript)), variant,
         failure_policy="threshold", failure_threshold=0.2,
     )
-    assert phase.aborted == session.aborted
+    assert phase.counts.aborted == session.aborted
     assert (np.flatnonzero(phase.discard) + 1).tolist() == sorted(session.partition.discard)
     assert (phase.t2 + 1).tolist() == [t.t_set2 for t in session.triples]
     assert (phase.t3 + 1).tolist() == [t.t_set3 for t in session.triples]

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import duplexqkd
-from duplexqkd import Bb84Config, DuplexConfig, EveStrategy, run_sessions, run_sweep
+from duplexqkd import (
+    Bb84Config, DuplexConfig, EveStrategy, report_from_bb84, run_bb84, run_sessions, run_sweep,
+)
 from duplexqkd.cli import main
 from duplexqkd.stats import effective_workers
 
@@ -147,3 +149,29 @@ def test_run_sweep_checks_every_cell_before_running_any(monkeypatch):
     assert calls == []
     run_sweep("duplex", config, {"intercept_fraction": [0.0, 1.0]}, sessions=2, master_seed=1)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "protocol,config,message",
+    [
+        ("bb84", DuplexConfig(n_timeslots=10), "protocol 'bb84' does not match a DuplexConfig"),
+        ("duplex", Bb84Config(n_timeslots=10), "protocol 'duplex' does not match a Bb84Config"),
+        ("b92", DuplexConfig(n_timeslots=10), "unknown protocol 'b92'"),
+    ],
+)
+def test_a_protocol_that_does_not_name_the_config_runs_nothing(monkeypatch, protocol, config, message):
+    from duplexqkd import stats
+
+    calls = []
+    monkeypatch.setattr(stats, "_run_chunk", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        run_sessions(protocol, config, 2, master_seed=1)
+    with pytest.raises(ValueError, match=message):
+        run_sweep(protocol, config, {"intercept_fraction": [0.0, 1.0]}, sessions=2, master_seed=1)
+    assert calls == []
+
+
+def test_a_bb84_report_rejects_a_duplex_config():
+    outcome = run_bb84(Bb84Config(n_timeslots=10))
+    with pytest.raises(ValueError, match="protocol 'bb84' does not match a DuplexConfig"):
+        report_from_bb84(outcome, DuplexConfig(n_timeslots=10))
