@@ -75,7 +75,7 @@ class Bb84Config:
 
 
 class Bb84Outcome:
-    """Result of one baseline session, ``batch``, a batch of one.
+    """Result of one baseline session of ``config``, ``batch``, a batch of one.
 
     ``key_timeslots`` maps the renumbered key positions back to original
     timeslots (entry i is the origin of key bit i), so reports can always
@@ -84,7 +84,8 @@ class Bb84Outcome:
     count properties never build them.
     """
 
-    def __init__(self, batch: Bb84Sessions):
+    def __init__(self, config: Bb84Config, batch: Bb84Sessions):
+        self.config = config
         self.batch = batch
         self.columns = batch.columns
         self.detected = bool(batch.counts.detected[0])
@@ -211,4 +212,4 @@ def run_bb84(config: Bb84Config) -> Bb84Outcome:
     slot, on ``session_generator(seeded_rng(config.seed))``; the same
     generator then draws the compared sample.
     """
-    return Bb84Outcome(run_bb84_sessions(config, [config.seed]))
+    return Bb84Outcome(config, run_bb84_sessions(config, [config.seed]))

@@ -127,8 +127,16 @@ def _json_text(value, newline: str) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-class _WriteError(Exception):
-    """An output file that could not be written; exits with status 1."""
+class _Failure(Exception):
+    """A failure that ends the command: a one-line message and an exit status.
+
+    The status is 1 for a file that cannot be read or written, 2 for a bad
+    setting.  ``main`` prints the message once, after ``duplexqkd: ``.
+    """
+
+    def __init__(self, message: str, status: int):
+        super().__init__(message)
+        self.status = status
 
 
 def _write_file(path: Path, data: bytes) -> None:
@@ -136,7 +144,7 @@ def _write_file(path: Path, data: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(data)
     except OSError as exc:
-        raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise _Failure(f"cannot write {path}: {exc.strerror or exc}", 1) from None
 
 
 def _add_run_options(parser: argparse.ArgumentParser, *, sweep: bool) -> None:
@@ -225,15 +233,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, commands
 
 
-class _ConfigError(Exception):
-    """A config-file line that does not parse; exits with status 2."""
-
-
 class _EntryParser(argparse.ArgumentParser):
     """Parses the tokens of one config-file line, raising instead of exiting."""
 
     def error(self, message: str):
-        raise _ConfigError(message)
+        raise _Failure(message, 2)
 
 
 def _config_file_defaults(path: Path, command: str) -> dict:
@@ -248,7 +252,9 @@ def _config_file_defaults(path: Path, command: str) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise SystemExit(f"duplexqkd: cannot read config file: {exc}")
+        raise _Failure(f"cannot read config file: {exc}", 1) from None
+    except UnicodeDecodeError as exc:
+        raise _Failure(f"cannot read config file: {path}: {exc}", 1) from None
     # Keys name an option in full: "time = 30" is unknown, not --timeslots.
     entry_parser = _EntryParser(add_help=False, allow_abbrev=False)
     _OPTIONS[command](entry_parser)
@@ -258,7 +264,7 @@ def _config_file_defaults(path: Path, command: str) -> dict:
         if not line:
             continue
         if "=" not in line:
-            raise _ConfigError(f"{path}:{line_number}: expected 'key = value', got {raw!r}")
+            raise _Failure(f"{path}:{line_number}: expected 'key = value', got {raw!r}", 2)
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
         # A true/false value sets a switch, an on/off flag whose dest is the key.
@@ -268,7 +274,7 @@ def _config_file_defaults(path: Path, command: str) -> dict:
             if extras:
                 unknown = extras[0] == flag
                 problem = f"unknown key {key!r}" if unknown else f"{key}: unexpected value {value!r}"
-                raise _ConfigError(problem)
+                raise _Failure(problem, 2)
             if switch:
                 setattr(values, key.replace("-", "_"), value.lower() == "true")
             if command == "run":
@@ -278,8 +284,8 @@ def _config_file_defaults(path: Path, command: str) -> dict:
             for name in ("sessions", "workers"):
                 if getattr(values, name, 1) < 1:  # replay has neither
                     raise ValueError(f"{name} must be >= 1, got {getattr(values, name)}")
-        except (_ConfigError, ValueError) as exc:
-            raise _ConfigError(f"{path}:{line_number}: {exc}") from None
+        except (_Failure, ValueError) as exc:
+            raise _Failure(f"{path}:{line_number}: {exc}", 2) from None
     return vars(values)
 
 
@@ -339,7 +345,7 @@ def _sessions_csv(sessions: list[dict]) -> str:
     return stats.csv_table(stats.CSV_FIELDS, sessions)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> None:
     config = _session_config(args)
     reports = stats.run_sessions(args.protocol, config, args.sessions, args.seed, args.workers)
     aggregate = stats.aggregate_reports(reports)
@@ -353,7 +359,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"keys_agree_rate={aggregate.keys_agree_rate!r}")
     if args.out is not None:
         print(f"reports written to {args.out}")
-    return 0
 
 
 def _replay_payload(transcript: Transcript, variant: str) -> dict:
@@ -389,15 +394,13 @@ def _int_text(values: list[int], sep: str) -> str:
     return sep.join(["%d"] * len(values)) % tuple(values)
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
+def _cmd_replay(args: argparse.Namespace) -> None:
     try:
         transcript = read_transcript(args.transcript)
     except TranscriptFormatError as exc:
-        print(f"duplexqkd: {args.transcript}: {exc}", file=sys.stderr)
-        return 1
+        raise _Failure(f"{args.transcript}: {exc}", 1) from None
     except OSError as exc:
-        print(f"duplexqkd: cannot read transcript: {exc}", file=sys.stderr)
-        return 1
+        raise _Failure(f"cannot read transcript: {exc}", 1) from None
     payload = _replay_payload(transcript, args.variant)
     triples = payload["triples"]
     print(f"timeslots: {payload['n_timeslots']}")
@@ -416,7 +419,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     print("keys_agree:", "yes" if payload["keys_agree"] else "no")
     if args.json is not None:
         _write_file(args.json, _json_bytes(payload))
-    return 0
 
 
 def _sweep_grid(args: argparse.Namespace) -> dict[str, list]:
@@ -430,11 +432,10 @@ def _sweep_grid(args: argparse.Namespace) -> dict[str, list]:
     return {name: values for name, values in lists.items() if values}
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     grid = _sweep_grid(args)
     if not grid:
-        print("duplexqkd: sweep grid is empty", file=sys.stderr)
-        return 2
+        raise _Failure("sweep grid is empty", 2)
     config = _session_config(args, sweep=True)
     result = stats.run_sweep(args.protocol, config, grid, args.sessions, args.seed, args.workers)
     payload = {"config": _echo_config(args), "sweep": result.to_dict()}
@@ -442,49 +443,36 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(result.to_csv(), end="")
     if args.out is not None:
         print(f"reports written to {args.out}")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, commands = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        if args.config is None:
-            parser.error("the following arguments are required: command")
-        print("duplexqkd: --config given without a subcommand", file=sys.stderr)
-        return 2
-    if args.config is not None:
-        # The file's values become the subcommand's defaults, so flags still win.
-        try:
-            commands[args.command].set_defaults(**_config_file_defaults(args.config, args.command))
-        except _ConfigError as exc:
-            print(f"duplexqkd: {exc}", file=sys.stderr)
-            return 2
-        args = parser.parse_args(argv)
-
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None and hasattr(args, "seed"):
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print(f"duplexqkd: {SEED_ENV_VAR} must be an integer, got {env_seed!r}", file=sys.stderr)
-            return 2
-
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "replay":
-            return _cmd_replay(args)
-        return _cmd_sweep(args)
-    except _WriteError as exc:
-        print(f"duplexqkd: {exc}", file=sys.stderr)
-        return 1
+        parser, commands = _build_parser()
+        args = parser.parse_args(argv)
+        if args.command is None:
+            if args.config is None:
+                parser.error("the following arguments are required: command")
+            raise _Failure("--config given without a subcommand", 2)
+        if args.config is not None:
+            # The file's values become the subcommand's defaults, so flags still win.
+            commands[args.command].set_defaults(**_config_file_defaults(args.config, args.command))
+            args = parser.parse_args(argv)
+        env_seed = os.environ.get(SEED_ENV_VAR)
+        if env_seed is not None and hasattr(args, "seed"):
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                raise _Failure(f"{SEED_ENV_VAR} must be an integer, got {env_seed!r}", 2) from None
+        {"run": _cmd_run, "replay": _cmd_replay, "sweep": _cmd_sweep}[args.command](args)
+        return 0
+    except _Failure as exc:
+        message, status = str(exc), exc.status
     except MemoryError as exc:
-        print(f"duplexqkd: not enough memory: {exc or 'allocation failed'}", file=sys.stderr)
-        return 1
+        message, status = f"not enough memory: {exc or 'allocation failed'}", 1
     except ValueError as exc:
-        print(f"duplexqkd: {exc}", file=sys.stderr)
-        return 2
+        message, status = str(exc), 2
+    print(f"duplexqkd: {message}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Deterministic seed derivation.
 
-A run is fully determined by its integer seed path.  Derived streams use a
-documented counter scheme: session ``k`` of a run with master seed ``s`` is
-seeded from ``seeded_rng(s, k)``; sweep cell ``c`` prepends its cell index,
-``seeded_rng(s, c, k)``.  Hashing the path through SHA-256 keeps the scheme
-stable across platforms and Python versions.  The ``random.Random`` built
-here only derives the session's numpy seed: every draw of the simulation
-comes from the generator ``session_generator`` seeds with 64 of its bits.
+A run is fully determined by its integer seed path.  Session ``k`` of a run
+with master seed ``s`` has the seed ``derive_seed(s, k)`` and draws from
+``session_generator(seeded_rng(derive_seed(s, k)))``; sweep cell ``c`` runs
+its sessions with the master seed ``derive_seed(s, c)``.  Hashing the path
+through SHA-256 keeps the scheme stable across platforms and Python
+versions.  The ``random.Random`` built here only derives the session's numpy
+seed: every draw of the simulation comes from the generator
+``session_generator`` seeds with 64 of its bits.
 """
 
 from __future__ import annotations

@@ -136,6 +136,8 @@ def report_from_bb84(
     seed: int | None = None,
 ) -> SessionReport:
     _check_protocol("bb84", config)
+    if config != outcome.config:
+        raise ValueError("config is not the Bb84Config the session ran")
     return _reports(config, outcome.batch.counts, [session_index], [seed])[0]
 
 
@@ -634,8 +636,9 @@ def run_sweep(
 
     ``protocol`` must name the protocol of ``config``, as for
     ``run_sessions``.  Every cell's config is built (``sweep_cells``) before
-    any session runs.  Cell c's sessions use seeds derived from
-    (master_seed, c, k), so ``run_sessions`` reproduces any single cell.
+    any session runs.  Cell c runs its sessions with the master seed
+    ``derive_seed(master_seed, c)``, so ``run_sessions`` with that master
+    seed reproduces any single cell.
     All cells run as one task list, through at most one process pool, and
     each cell is aggregated as soon as its sessions are back.
     """

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from duplexqkd import BasisPolicy, DuplexConfig, EveStrategy, aggregate_reports, run_sessions
+from duplexqkd import (
+    BasisPolicy, ChannelModel, DuplexConfig, EveStrategy, aggregate_reports, run_sessions,
+)
 from duplexqkd.cli import SEED_ENV_VAR, main
 from duplexqkd.duplex import example_transcript_path
 from duplexqkd.rng import derive_seed
@@ -338,6 +340,29 @@ def test_sweep_honours_the_eve_basis_policy(tmp_path):
         assert float(cell[name]) == getattr(expected, name), name
 
 
+def test_sweep_cell_runs_with_a_master_seed_derived_from_its_index(tmp_path):
+    out = tmp_path / "out"
+    code = run_cli(
+        "sweep", "--protocol", "duplex", "--intercept", "0,0.5,1", "--flip", "0.02",
+        "--timeslots", "60", "--sessions", "20", "--seed", "7", "--out", str(out),
+    )
+    assert code == 0
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    cell = dict(zip(header.split(","), rows[2].split(",")))
+    assert (cell["intercept_fraction"], cell["flip_probability"]) == ("1.0", "0.02")
+    config = DuplexConfig(
+        n_timeslots=60,
+        channel=ChannelModel(flip_probability=0.02),
+        eve=EveStrategy.intercept_resend(1.0),
+    )
+    expected = aggregate_reports(run_sessions("duplex", config, 20, derive_seed(7, 2)))
+    for name in (
+        "sessions", "detection_rate", "detection_halfwidth", "mean_error_rate",
+        "error_rate_halfwidth", "key_rate_per_timeslot", "key_rate_halfwidth", "pair_failure_rate",
+    ):
+        assert float(cell[name]) == getattr(expected, name), name
+
+
 def _one_error_line(err: str) -> str:
     assert "Traceback" not in err
     (line,) = err.splitlines()
@@ -363,6 +388,18 @@ def test_unreadable_config_file_is_one_line_and_exit_1(tmp_path):
     line = _one_error_line(result.stderr)
     assert line.startswith("duplexqkd: cannot read config file: ")
     assert str(missing) in line
+
+
+def test_config_file_that_is_not_utf8_is_one_line_and_exit_1(tmp_path, capsys):
+    config = tmp_path / "not-utf8.conf"
+    config.write_bytes(b"timeslots = 5\xff0\n")
+    assert run_cli("--config", str(config), "run", "--out", str(tmp_path / "out")) == 1
+    line = _one_error_line(capsys.readouterr().err)
+    assert line == (
+        f"duplexqkd: cannot read config file: {config}: "
+        "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_without_a_subcommand_exits_2(tmp_path, capsys):

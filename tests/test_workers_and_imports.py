@@ -175,3 +175,12 @@ def test_a_bb84_report_rejects_a_duplex_config():
     outcome = run_bb84(Bb84Config(n_timeslots=10))
     with pytest.raises(ValueError, match="protocol 'bb84' does not match a DuplexConfig"):
         report_from_bb84(outcome, DuplexConfig(n_timeslots=10))
+
+
+def test_a_bb84_report_rejects_a_config_the_session_did_not_run():
+    ran = Bb84Config(n_timeslots=20, seed=3)
+    outcome = run_bb84(ran)
+    assert outcome.config == ran
+    with pytest.raises(ValueError, match="config is not the Bb84Config the session ran"):
+        report_from_bb84(outcome, Bb84Config(n_timeslots=50))
+    assert report_from_bb84(outcome, Bb84Config(n_timeslots=20, seed=3)).n_timeslots == 20
