@@ -214,9 +214,16 @@ _OPTIONS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (its subcommands' too) raise ``_Failure``."""
+
+    def error(self, message: str):
+        raise _Failure(f"{message} (see '{self.prog} -h')" if self.add_help else message, 2)
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The command-line parser and its subcommand parsers, by name."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="duplexqkd",
         description="Duplex BB84 simulator: eavesdropper detection without public bit comparison.",
     )
@@ -231,13 +238,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     for name, add_options in _OPTIONS.items():
         add_options(commands[name])
     return parser, commands
-
-
-class _EntryParser(argparse.ArgumentParser):
-    """Parses the tokens of one config-file line, raising instead of exiting."""
-
-    def error(self, message: str):
-        raise _Failure(message, 2)
 
 
 def _config_file_defaults(path: Path, command: str) -> dict:
@@ -256,7 +256,7 @@ def _config_file_defaults(path: Path, command: str) -> dict:
     except UnicodeDecodeError as exc:
         raise _Failure(f"cannot read config file: {path}: {exc}", 1) from None
     # Keys name an option in full: "time = 30" is unknown, not --timeslots.
-    entry_parser = _EntryParser(add_help=False, allow_abbrev=False)
+    entry_parser = _Parser(add_help=False, allow_abbrev=False)
     _OPTIONS[command](entry_parser)
     values = entry_parser.parse_args([])
     for line_number, raw in enumerate(text.splitlines(), start=1):
@@ -267,8 +267,9 @@ def _config_file_defaults(path: Path, command: str) -> dict:
             raise _Failure(f"{path}:{line_number}: expected 'key = value', got {raw!r}", 2)
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
-        # A true/false value sets a switch, an on/off flag whose dest is the key.
-        switch = value.lower() in ("true", "false")
+        dest = key.replace("-", "_")
+        # true/false sets a switch (an option holding a bool); others take them as values.
+        switch = isinstance(getattr(values, dest, None), bool) and value.lower() in ("true", "false")
         try:
             _, extras = entry_parser.parse_known_args([flag] if switch else [flag, value], values)
             if extras:
@@ -276,7 +277,7 @@ def _config_file_defaults(path: Path, command: str) -> dict:
                 problem = f"unknown key {key!r}" if unknown else f"{key}: unexpected value {value!r}"
                 raise _Failure(problem, 2)
             if switch:
-                setattr(values, key.replace("-", "_"), value.lower() == "true")
+                setattr(values, dest, value.lower() == "true")
             if command == "run":
                 _session_config(values)
             elif command == "sweep":
@@ -402,6 +403,8 @@ def _cmd_replay(args: argparse.Namespace) -> None:
     except OSError as exc:
         raise _Failure(f"cannot read transcript: {exc}", 1) from None
     payload = _replay_payload(transcript, args.variant)
+    if args.json is not None:
+        _write_file(args.json, _json_bytes(payload))
     triples = payload["triples"]
     print(f"timeslots: {payload['n_timeslots']}")
     print("discard:", _int_text(payload["discard"], " "))
@@ -417,8 +420,6 @@ def _cmd_replay(args: argparse.Namespace) -> None:
     print("alice_key:", _int_text(payload["alice_key"], ""))
     print("bob_key:  ", _int_text(payload["bob_key"], ""))
     print("keys_agree:", "yes" if payload["keys_agree"] else "no")
-    if args.json is not None:
-        _write_file(args.json, _json_bytes(payload))
 
 
 def _sweep_grid(args: argparse.Namespace) -> dict[str, list]:

@@ -15,10 +15,10 @@ All randomness of a session comes from one ``gen.random((DRAWS, n))`` block,
 row by row as laid out below, so a session is a pure function of its
 generator's seed.  ``transmit_sessions`` simulates a batch of sessions,
 each drawing from its own generator, in one pass over their concatenated
-slots; ``transmit_columns`` is a batch of one.  ``SlotRecord`` is the
-per-slot object form of the same data, used by transcripts, replay and the
-reference step functions.  ``SessionCounts`` is the per-session tally both
-protocols' batch runners fill and every session report is built from.
+slots; ``transmit_columns`` is a batch of one.  ``SlotRecord``, the per-slot
+object form, is used by ``Transcript``, ``format_transcript``, bb84's ``sift``
+and the reference step functions.  ``SessionCounts`` is the per-session tally
+both protocols' batch runners fill and every session report is built from.
 """
 
 from __future__ import annotations

@@ -260,6 +260,7 @@ def test_unwritable_output_is_one_line_and_exit_1(tmp_path, argv):
         [sys.executable, "-m", "duplexqkd.cli", *argv], capture_output=True, text=True
     )
     assert result.returncode == 1
+    assert result.stdout == ""
     assert "Traceback" not in result.stderr
     (line,) = result.stderr.splitlines()
     assert line.startswith(f"duplexqkd: cannot write {blocked}/")
@@ -282,11 +283,12 @@ def test_unwritable_output_is_one_line_and_exit_1(tmp_path, argv):
         ),
         ("sessions = 0\n", "1: sessions must be >= 1, got 0"),
         ("timeslots = 50\nworkers = 0\n", "2: workers must be >= 1, got 0"),
+        ("variant = true\n", "1: argument --variant: invalid choice: 'true'"),
     ],
     ids=[
         "bad-value", "unknown-key", "bad-switch", "bad-choice", "abbreviated-key",
         "invalid-intercept", "invalid-timeslots", "invalid-for-earlier-protocol",
-        "invalid-sessions", "invalid-workers",
+        "invalid-sessions", "invalid-workers", "true-for-a-choice",
     ],
 )
 def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, message):
@@ -297,6 +299,14 @@ def test_config_file_errors_name_the_file_and_line(tmp_path, capsys, text, messa
     assert err.startswith(f"duplexqkd: {config}:{message}")
     assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_config_true_is_a_value_for_an_option_that_takes_one(tmp_path, monkeypatch):
+    # Only a switch reads true/false as on/off; --out takes "true" as a path.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "out.conf").write_text("out = true\n")
+    assert run_cli("--config", "out.conf", "run", "--timeslots", "20") == 0
+    assert (tmp_path / "true" / "report.json").is_file()
 
 
 def test_config_file_keys_are_checked_against_the_subcommand(tmp_path, capsys):

@@ -1,16 +1,18 @@
 """``main`` lets no exception escape for any argv drawn from the option grammar.
 
-An argv is a subcommand (or none), known flags with good and bad values,
-unknown flags, a flag missing its value, ``-h``, a ``--config`` file (a good
-one, a missing path, a directory or a file with a ``0xff`` byte) and, for
-``replay``, a transcript (the bundled one, a missing path, a directory, a
-malformed row or a non-ASCII byte); ``DUPLEXQKD_SEED`` is unset, an integer
-or a word.  Draws stay small: at most 3 sessions of at most 40 timeslots, and
-a worker count of -1, 0 or 1, so no process pool starts.
+An argv is a subcommand (or none, or the unknown ``b92``), known flags with
+good and bad values, unknown flags, a flag missing its value, ``-h``, a
+``--config`` file (a good one, a missing path, a directory or a file with a
+``0xff`` byte) and, for ``replay``, a transcript (the bundled one, a missing
+path, a directory, a malformed row, a non-ASCII byte, or none at all);
+``DUPLEXQKD_SEED`` is unset, an integer or a word.  Draws stay small: at
+most 3 sessions of at most 40 timeslots, and a worker count of -1, 0 or 1,
+so no process pool starts.
 
-Every draw either returns 0 with nothing on stderr, returns 1 or 2 with one
-stderr line that starts with ``duplexqkd: ``, or ends in argparse's own
-``SystemExit`` (2 for a usage error, 0 for ``-h``).
+Every draw either returns 0 with nothing on stderr, returns 1 or 2 with
+nothing on stdout and one stderr line that starts with ``duplexqkd: ``, or,
+when ``-h`` is in argv, prints help and ends in ``SystemExit(0)``.  A usage
+error is one of the failures that return 2: no ``SystemExit`` carries it.
 """
 
 import io
@@ -78,11 +80,13 @@ def argvs(draw) -> list[str]:
     argv = []
     if draw(st.booleans()):
         argv += ["--config", draw(st.sampled_from(CONFIGS))]
-    command = draw(st.sampled_from(["run", "sweep", "replay", None]))
+    command = draw(st.sampled_from(["run", "sweep", "replay", "b92", None]))
     if command is None:
         return argv + draw(st.sampled_from([[], ["-h"]]))
     argv.append(command)
-    if command == "replay":
+    if command == "b92":
+        return argv + draw(st.sampled_from([[], ["--sessions", "1"], ["-h"]]))
+    if command == "replay" and draw(st.integers(0, 5)) > 0:
         argv.append(draw(st.sampled_from(TRANSCRIPTS)))
     flags = FLAGS[command]
     for _ in range(draw(st.integers(0, 5))):
@@ -115,23 +119,25 @@ def _make_files(tmp: Path) -> None:
 @settings(max_examples=100, deadline=None)
 @given(argv=argvs(), env_seed=st.sampled_from([None, "5", "seven"]))
 @example(argv=["--config", "{tmp}/ff.conf", "run"], env_seed=None)
+@example(argv=["run", "--failure-threshold", "x"], env_seed=None)
 def test_main_lets_no_exception_escape(argv, env_seed):
     with tempfile.TemporaryDirectory() as tmp:
         _make_files(Path(tmp))
         argv = [token.replace("{tmp}", tmp) for token in argv]
-        err = io.StringIO()
-        with mock.patch.dict(os.environ), redirect_stdout(io.StringIO()), redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ), redirect_stdout(out), redirect_stderr(err):
             os.environ.pop(SEED_ENV_VAR, None)
             if env_seed is not None:
                 os.environ[SEED_ENV_VAR] = env_seed
             try:
                 code = main(argv)
             except SystemExit as exc:
-                assert exc.code in (0, 2), (argv, exc.code)
+                assert exc.code == 0 and "-h" in argv, (argv, exc.code)
                 return
     assert code in (0, 1, 2), argv
     if code == 0:
         assert err.getvalue() == "", argv
         return
+    assert out.getvalue() == "", argv
     (line,) = err.getvalue().splitlines()
     assert line.startswith("duplexqkd: "), (argv, line)
