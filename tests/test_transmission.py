@@ -1,5 +1,8 @@
 """The shared transmission kernel: slot rules, stream identity, object form."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +20,7 @@ from duplexqkd import (
 from duplexqkd.rng import seeded_rng, session_generator
 from duplexqkd.transmission import (
     BASES,
+    _combine,
     intercept_records,
     slot_records,
     transmit_columns,
@@ -142,3 +146,45 @@ def test_bb84_outcome_matches_its_slot_records(seed, loss, intercept, sample_cou
     assert outcome.key_bits_bob == [by_slot[t].receiver_bit for t in outcome.key_timeslots]
     if sample_count is not None:
         assert outcome.sampled_count == min(sample_count, outcome.sifted_count)
+
+
+def _exact_slot_rates(policy, intercept, loss, flip):
+    """Matched-basis error and loss probabilities of ``_combine``, as Fractions.
+
+    Every one of the 2^9 coin vectors of one slot goes through the combine
+    step at once; fair rows weigh 1/2 a side, and a threshold row with
+    probability p weighs p where its coin is set and 1 - p where it is not.
+    """
+    vectors = np.arange(2**9)
+    coins = ((vectors[None, :] >> np.arange(9)[:, None]) & 1).astype(bool)
+    cols = _combine(coins, np.ones(2**9, dtype=bool), EveStrategy.intercept_resend(1.0, policy))
+    thresholds = (intercept, loss, flip)
+    weights = [
+        Fraction(1, 64) * math.prod(p if coin else 1 - p for p, coin in zip(thresholds, row))
+        for row in coins[6:].T.tolist()
+    ]
+    received = (cols.receiver_bit >= 0) & (cols.sender_basis == cols.receiver_basis)
+    wrong = received & (cols.receiver_bit != cols.sender_bit)
+    error = sum(w for w, bad in zip(weights, wrong.tolist()) if bad)
+    matched = sum(w for w, ok in zip(weights, received.tolist()) if ok)
+    lost = sum(w for w, gone in zip(weights, (cols.receiver_bit < 0).tolist()) if gone)
+    return error / matched, lost
+
+
+@pytest.mark.parametrize("policy", list(BasisPolicy))
+@pytest.mark.parametrize(
+    "intercept,loss,flip",
+    [
+        (Fraction(0), Fraction(0), Fraction(0)),
+        (Fraction(1), Fraction(0), Fraction(0)),
+        (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)),
+        (Fraction(3, 10), Fraction(1, 3), Fraction(1, 7)),
+        (Fraction(1), Fraction(1, 2), Fraction(1)),
+    ],
+)
+def test_combine_gives_the_closed_form_rates_exactly(policy, intercept, loss, flip):
+    # Seed-free: the combine step's own rates over the exhaustive coin table.
+    error, lost = _exact_slot_rates(policy, intercept, loss, flip)
+    eve = intercept / 4
+    assert error == eve * (1 - flip) + flip * (1 - eve)
+    assert lost == loss
