@@ -17,7 +17,6 @@ published and cannot become key material.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -28,7 +27,8 @@ from .adversary import EveRecord, EveStrategy
 from .quantum import Bit, ChannelModel
 from .rng import seeded_rng, session_generator
 from .transmission import (
-    SessionCounts, SlotColumns, SlotRecord, intercept_records, slot_records, transmit_sessions,
+    SAMPLE_ROW, SessionCounts, SlotColumns, SlotRecord, intercept_records, slot_records,
+    stream_words, transmit_sessions,
 )
 
 __all__ = ["Bb84Config", "Bb84Outcome", "Bb84Sessions", "run_bb84_sessions", "run_bb84", "sift"]
@@ -162,30 +162,33 @@ class Bb84Sessions(NamedTuple):
 def run_bb84_sessions(config: Bb84Config, seeds: Sequence[int]) -> Bb84Sessions:
     """Run one baseline session of ``config`` per seed, all as one batch.
 
-    Session ``j`` draws its slots from
+    Session ``j`` draws its slots from the stream of the key
     ``session_generator(seeded_rng(seeds[j]))`` through
-    ``transmit_sessions``; after the batch is sifted, the same generator
-    draws the session's compared sample, so each session is exactly the
-    one ``run_bb84`` runs for ``replace(config, seed=seeds[j])``.
+    ``transmit_sessions``.  Its compared sample is the ``k`` of its sifted
+    slots whose words of the stream's ``SAMPLE_ROW`` (one per slot) are
+    the smallest, so each session is exactly the one ``run_bb84`` runs for
+    ``replace(config, seed=seeds[j])``.
     """
     n, count = config.n_timeslots, len(seeds)
-    gens = [session_generator(seeded_rng(seed)) for seed in seeds]
-    columns = transmit_sessions(gens, np.ones(n, dtype=bool), config.channel, config.eve)
+    keys = np.array([session_generator(seeded_rng(seed)) for seed in seeds], dtype=np.uint64)
+    columns = transmit_sessions(keys, np.ones(n, dtype=bool), config.channel, config.eve)
     sifted = np.flatnonzero(
         (columns.receiver_bit >= 0) & (columns.sender_basis == columns.receiver_basis)
     )
     session = sifted // n
     sifted_count = np.bincount(session, minlength=count)
 
+    if config.sample_count is not None:
+        sample_size = np.minimum(config.sample_count, sifted_count)
+    else:
+        sample_size = np.minimum(np.ceil(config.sample_fraction * sifted_count), sifted_count)
+    rank_words = stream_words(keys[session], SAMPLE_ROW, n, (sifted % n).astype(np.uint64))
+    order = np.lexsort((rank_words, session))
+    # ``order`` keeps the sessions in place, so a slot's rank in its session
+    # is its position in ``order`` less the session's first position.
+    rank = np.arange(len(sifted)) - (np.cumsum(sifted_count) - sifted_count)[session]
     in_sample = np.zeros(len(sifted), dtype=bool)
-    start = 0
-    for gen, survivors in zip(gens, sifted_count.tolist()):
-        if config.sample_count is not None:
-            sample_size = min(config.sample_count, survivors)
-        else:
-            sample_size = min(math.ceil(config.sample_fraction * survivors), survivors)
-        in_sample[start + gen.permutation(survivors)[:sample_size]] = True
-        start += survivors
+    in_sample[order] = rank < sample_size[session]
     wrong = columns.receiver_bit[sifted] != columns.sender_bit[sifted]
     sampled = np.bincount(session[in_sample], minlength=count)
     failures = np.bincount(session[in_sample & wrong], minlength=count)
@@ -209,7 +212,7 @@ def run_bb84(config: Bb84Config) -> Bb84Outcome:
     """Run one complete baseline session, as a batch of one.
 
     The slots come from the transmission kernel with Alice sending in every
-    slot, on ``session_generator(seeded_rng(config.seed))``; the same
-    generator then draws the compared sample.
+    slot, on the stream of ``session_generator(seeded_rng(config.seed))``;
+    the same stream then ranks the sifted slots for the compared sample.
     """
     return Bb84Outcome(config, run_bb84_sessions(config, [config.seed]))

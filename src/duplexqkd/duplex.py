@@ -212,8 +212,8 @@ def run_duplex_transmission(
 
     Alice sends in the odd timeslots and Bob in the even ones (the
     "odd_alice" interleaving, the only rule); the slots are drawn by
-    ``transmit_columns`` from ``session_generator(rng)``, exactly as
-    ``run_duplex_session`` draws them for ``seeded_rng(seed)``.
+    ``transmit_columns`` from the key ``session_generator(rng)``, exactly
+    as ``run_duplex_session`` draws them for ``seeded_rng(seed)``.
     Intercept records are appended to ``eve_sink`` when one is supplied.
     """
     if n_timeslots < 2:
@@ -856,8 +856,8 @@ def run_duplex_sessions(
 ) -> tuple[SlotColumns, ClassicalPhase]:
     """Run one session of ``config`` per seed, all as one batch.
 
-    Session ``j`` draws from ``session_generator(seeded_rng(seeds[j]))``
-    and takes entries ``j * n`` to ``(j + 1) * n`` of the batch's columns;
+    Session ``j`` draws from the stream of the key
+    ``session_generator(seeded_rng(seeds[j]))`` and takes entries ``j * n`` to ``(j + 1) * n`` of the batch's columns;
     ``transmit_sessions`` and ``classical_phase`` keep the sessions apart,
     so each is exactly the session of ``replace(config, seed=seeds[j])``.
     """
@@ -883,7 +883,7 @@ def run_duplex_session(config: DuplexConfig) -> DuplexSessionResult:
     """Execute one complete duplex session: quantum phase through key bits.
 
     The session is a batch of one of ``run_duplex_sessions``: the quantum
-    phase is ``transmit_columns`` on
+    phase is ``transmit_columns`` on the key
     ``session_generator(seeded_rng(config.seed))``, the stream
     ``run_duplex_transmission`` draws for that rng; ``classical_phase``
     then runs the classical exchange on its columns.

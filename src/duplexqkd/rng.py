@@ -1,21 +1,19 @@
-"""Deterministic seed derivation.
+"""Deterministic seed and key derivation.
 
 A run is fully determined by its integer seed path.  Session ``k`` of a run
-with master seed ``s`` has the seed ``derive_seed(s, k)`` and draws from
+with master seed ``s`` has the seed ``derive_seed(s, k)`` and the key
 ``session_generator(seeded_rng(derive_seed(s, k)))``; sweep cell ``c`` runs
 its sessions with the master seed ``derive_seed(s, c)``.  Hashing the path
 through SHA-256 keeps the scheme stable across platforms and Python
-versions.  The ``random.Random`` built here only derives the session's numpy
-seed: every draw of the simulation comes from the generator
-``session_generator`` seeds with 64 of its bits.
+versions.  The ``random.Random`` built here only derives the session's
+64-bit key: every coin of the simulation is a word of the key's
+counter-based stream (see ``transmission``).
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-
-import numpy as np
 
 __all__ = ["derive_seed", "seeded_rng", "session_generator"]
 
@@ -34,6 +32,6 @@ def seeded_rng(*path: int) -> random.Random:
     return random.Random(derive_seed(*path))
 
 
-def session_generator(rng: random.Random) -> np.random.Generator:
-    """The numpy generator a session's transmission draws from ``rng``."""
-    return np.random.default_rng(rng.getrandbits(64))
+def session_generator(rng: random.Random) -> int:
+    """The 64-bit key of the session whose coins ``rng`` derives."""
+    return rng.getrandbits(64)

@@ -343,7 +343,8 @@ def normal_halfwidth(p_hat: float, n: int, z: float = _Z95) -> float:
 # --------------------------------------------------------------------------
 
 # Slots one batch of sessions holds at most; a longer session is a batch of
-# its own.  A batch's coin buffer is 9 bools per slot.
+# its own.  A batch's coin buffer is 9 bools per slot, and each threshold row
+# hashes one uint64 word per slot while it is drawn.
 BATCH_SLOTS = 1 << 16
 
 

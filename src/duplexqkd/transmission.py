@@ -11,18 +11,36 @@ fair coin and collapses it onto the outcome's eigenstate.  Slot-wise:
 3. the channel loses the state, or else may flip its bit within its basis;
 4. the receiver measures in a uniform basis.
 
-All randomness of a session comes from one ``gen.random((DRAWS, n))`` block,
-row by row as laid out below, so a session is a pure function of its
-generator's seed.  ``transmit_sessions`` simulates a batch of sessions,
-each drawing from its own generator, in one pass over their concatenated
-slots; ``transmit_columns`` is a batch of one.  ``SlotRecord``, the per-slot
-object form, is used by ``Transcript``, ``format_transcript``, bb84's ``sift``
-and the reference step functions.  ``SessionCounts`` is the per-session tally
+All randomness of a session comes from its 64-bit key, through a
+counter-based stream: word ``c`` of the stream is
+``splitmix64(key + (c + 1) * 0x9E3779B97F4A7C15)``, the ``c``-th output of
+a SplitMix64 generator (Steele, Lea and Flood, OOPSLA 2014) seeded with the
+key.  An ``n``-slot session lays its coin rows out back to back:
+
+- the six fair rows (sender basis and bit, Eve's basis and reading,
+  receiver basis and reading) take ``w = ceil(n / 64)`` words each, from
+  word ``r * w`` for row ``r``; slot ``i`` is bit ``i % 64`` of the row's
+  word ``i // 64``;
+- the intercept, loss and flip rows take ``n`` words each, from word
+  ``6 * w``, ``6 * w + n`` and ``6 * w + 2 * n``; slot ``i``'s coin is set
+  when the top 53 bits of its word, read as a fraction of ``2**53``, are
+  below the row's probability ``p``, exactly as ``Generator.random() < p``
+  is.  A row whose ``p`` is 0 or 1 reads no word;
+- row 9, from word ``6 * w + 3 * n``, ranks bb84's sifted slots for the
+  compared sample (see ``bb84``).
+
+A slot's coins are thus a pure function of ``(key, n, row, slot)``: a
+session is the same whatever batch or worker runs it.  ``transmit_sessions``
+simulates a batch of sessions in one pass over their concatenated slots;
+``transmit_columns`` is a batch of one.  ``SlotRecord``, the per-slot object
+form, is used by ``Transcript``, ``format_transcript``, bb84's ``sift`` and
+the reference step functions.  ``SessionCounts`` is the per-session tally
 both protocols' batch runners fill and every session report is built from.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Literal, NamedTuple, Sequence
@@ -34,7 +52,7 @@ from .quantum import Basis, Bit, ChannelModel
 
 __all__ = [
     "Direction", "SlotRecord", "SlotColumns", "SessionCounts", "transmit_columns",
-    "transmit_sessions", "slot_records", "intercept_records",
+    "transmit_sessions", "stream_words", "slot_records", "intercept_records",
 ]
 
 Party = Literal["alice", "bob"]
@@ -42,12 +60,12 @@ Party = Literal["alice", "bob"]
 # Column code -> basis; the int8 basis columns hold 0 for X and 1 for Y.
 BASES = (Basis.X, Basis.Y)
 
-# Rows of the per-session uniform block.  Rows 0-5 are fair coins; rows 6-8
-# are compared with the intercept fraction, the loss and the flip
-# probability.
+# Coin rows of a session's stream.  Rows 0-5 are fair coins; rows 6-8 are
+# compared with the intercept fraction, the loss and the flip probability;
+# row 9 orders bb84's sifted slots.
 _SENDER_BASIS, _SENDER_BIT, _EVE_BASIS, _EVE_READING, _RECEIVER_BASIS, _RECEIVER_READING = range(6)
-_INTERCEPT, _LOSS, _FLIP = 6, 7, 8
-DRAWS = 9
+_INTERCEPT, _LOSS, _FLIP, SAMPLE_ROW = 6, 7, 8, 9
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 
 
 class Direction(Enum):
@@ -126,40 +144,72 @@ class SessionCounts(NamedTuple):
     aborted: np.ndarray
 
 
+def stream_words(keys: np.ndarray, row: int, n: int, index: np.ndarray) -> np.ndarray:
+    """Word ``index`` of coin row ``row`` of ``n``-slot sessions' streams.
+
+    ``keys`` and ``index`` are ``uint64`` arrays; the result has their
+    broadcast shape.  Fair rows count ``index`` in words, the other rows in
+    slots (see the module docstring).
+    """
+    words = (n + 63) // 64
+    start = row * words if row < 6 else 6 * words + (row - 6) * n
+    z = keys + (index + np.uint64(start + 1)) * _GAMMA
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def transmit_columns(
-    gen: np.random.Generator,
+    key: int,
     alice_sends: np.ndarray,
     channel: ChannelModel,
     eve: EveStrategy,
 ) -> SlotColumns:
-    """Simulate every timeslot of one session at once."""
-    return transmit_sessions([gen], alice_sends, channel, eve)
+    """Simulate every timeslot of one session, keyed by ``key``, at once."""
+    return transmit_sessions([key], alice_sends, channel, eve)
 
 
 def transmit_sessions(
-    gens: Sequence[np.random.Generator],
+    keys: Sequence[int] | np.ndarray,
     alice_sends: np.ndarray,
     channel: ChannelModel,
     eve: EveStrategy,
 ) -> SlotColumns:
     """Simulate a batch of sessions of ``len(alice_sends)`` slots each.
 
-    Session ``j`` draws its ``gen.random((DRAWS, n))`` block from
-    ``gens[j]`` and takes entries ``j * n`` to ``(j + 1) * n`` of the
-    returned columns, so each session's slots are exactly those
-    ``transmit_columns`` gives for its generator alone.  A block is kept
-    only as its coins: each row compared with its threshold, into one
-    ``(DRAWS, sessions * n)`` bool buffer that the combine step then reads
-    as one long session.
+    Session ``j`` draws its coins from the stream of ``keys[j]`` and takes
+    entries ``j * n`` to ``(j + 1) * n`` of the returned columns, so each
+    session's slots are exactly those ``transmit_columns`` gives for its
+    key alone.
     """
-    n = len(alice_sends)
-    thresholds = np.array(
-        [0.5] * 6 + [eve.intercept_fraction, channel.loss_probability, channel.flip_probability]
-    )[:, None]
-    coins = np.empty((DRAWS, len(gens) * n), dtype=bool)
-    for j, gen in enumerate(gens):
-        np.less(gen.random((DRAWS, n)), thresholds, out=coins[:, j * n : (j + 1) * n])
-    return _combine(coins, alice_sends if len(gens) == 1 else np.tile(alice_sends, len(gens)), eve)
+    n, count = len(alice_sends), len(keys)
+    thresholds = (eve.intercept_fraction, channel.loss_probability, channel.flip_probability)
+    coins = _coins(np.asarray(keys, dtype=np.uint64), n, thresholds)
+    return _combine(coins, alice_sends if count == 1 else np.tile(alice_sends, count), eve)
+
+
+def _coins(keys: np.ndarray, n: int, thresholds: Sequence[float]) -> np.ndarray:
+    """The ``(9, sessions * n)`` bool coin buffer of a batch, in row order."""
+    count, words = len(keys), (n + 63) // 64
+    coins = np.empty((9, count, n), dtype=bool)
+    column = keys[:, None]
+    # The six fair rows are one run of 6 * words words from row 0 on.
+    fair = stream_words(column, 0, n, np.arange(6 * words, dtype=np.uint64))
+    packed = fair.astype("<u8", copy=False).view(np.uint8).reshape(count, 6, 8 * words)
+    bits = np.unpackbits(packed, axis=-1, bitorder="little")
+    coins[:6] = bits[..., :n].view(bool).transpose(1, 0, 2)
+    slots = np.arange(n, dtype=np.uint64)
+    for row, p in zip((_INTERCEPT, _LOSS, _FLIP), thresholds):
+        if p == 0.0 or p == 1.0:
+            coins[row] = p == 1.0
+        else:
+            uniform = stream_words(column, row, n, slots)
+            uniform >>= np.uint64(11)
+            np.less(uniform, np.uint64(math.ceil(p * 2**53)), out=coins[row])
+    return coins.reshape(9, count * n)
 
 
 def _combine(coins: np.ndarray, alice_sends: np.ndarray, eve: EveStrategy) -> SlotColumns:

@@ -175,6 +175,45 @@ def binomial_3sigma(p: float, n: int) -> float:
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
 
 
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(key: int, counter: int) -> int:
+    """Word ``counter`` of the SplitMix64 stream seeded with ``key``, in plain ints.
+
+    The state after ``counter + 1`` steps of the golden-gamma increment,
+    put through the published 64-bit finaliser (Steele, Lea and Flood,
+    OOPSLA 2014).
+    """
+    z = (key + (counter + 1) * 0x9E3779B97F4A7C15) & MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+    return z ^ (z >> 31)
+
+
+def reference_slot_coins(key: int, n: int, slot: int, thresholds) -> list[bool]:
+    """The nine coins of one slot of an ``n``-slot session, one word at a time.
+
+    Fair row ``r`` is bit ``slot % 64`` of word ``r * w + slot // 64``, with
+    ``w = ceil(n / 64)``; threshold row ``t`` (intercept, loss, flip) is set
+    when word ``6 * w + t * n + slot``, as a 53-bit fraction, is below its
+    probability, compared exactly.
+    """
+    words = -(-n // 64)
+    fair = [bool(splitmix64(key, row * words + slot // 64) >> (slot % 64) & 1) for row in range(6)]
+    drawn = [
+        Fraction(splitmix64(key, 6 * words + t * n + slot) >> 11, 2**53) < Fraction(p)
+        for t, p in enumerate(thresholds)
+    ]
+    return fair + drawn
+
+
+def reference_bb84_sample(key: int, n: int, sifted_slots, sample_size: int) -> list[int]:
+    """The ``sample_size`` sifted slots (0-based) whose sample-row words are smallest."""
+    start = 6 * -(-n // 64) + 3 * n
+    return sorted(sorted(sifted_slots, key=lambda slot: splitmix64(key, start + slot))[:sample_size])
+
+
 def greedy_pairs_search(set2_view, set3_view):
     """Same-bit-value pairing by rescanning set 3 for every set-2 element.
 

@@ -25,8 +25,8 @@ PINNED = {
             "--seed", "17",
         ],
         {
-            "report.json": "1b3491bdc3b32502e3f455f3556f85b7d4637de7b8bb8d22aea4930dbea5a1a1",
-            "sessions.csv": "0a03e662909e9807828e30981f1392307481defef9a3a8bb4d157f828e209a33",
+            "report.json": "651d1d71cf924c580f6b35964d65e64af46633a5194e8623539b2ad16f0ca6d6",
+            "sessions.csv": "9d6989131ac6d8c1046235640ec90194b6633fe1aff55e8b1e397479b2190c26",
         },
     ),
     "duplex_search": (
@@ -36,8 +36,8 @@ PINNED = {
             "--failure-policy", "threshold", "--failure-threshold", "0.2", "--seed", "23",
         ],
         {
-            "report.json": "690977f5f86314675895b396c7727f877b67419003fd4c219cd37b145f22106b",
-            "sessions.csv": "51a86c457e370fc5323d742b7ee0d0c8041e1e497de22ebd766b957f921c9950",
+            "report.json": "c2f5b9a7796d5ebf0c6f13e3db39c3e0aec7068907df6f8d4320fe9ddc2b676c",
+            "sessions.csv": "c2afe3ac917e510ee38a4fbf04f9e224ea8899403f13af4f36fdc9eaffbf1e49",
         },
     ),
     "bb84": (
@@ -46,8 +46,8 @@ PINNED = {
             "--intercept", "0.5", "--sample-count", "7", "--seed", "29",
         ],
         {
-            "report.json": "5863190a9165f7360719b80e1dae3e893dbf41ec5dd46336dc19aebdd00b1b5a",
-            "sessions.csv": "9f7e2342a842c1f1c43f59a6280175446e24acb312c9ce98da01578121daa461",
+            "report.json": "5ca508b8ab2019e201028d8f15651f94d3783f0c80eee0d306a7d2f6741681d9",
+            "sessions.csv": "2bbd47f99a8564788d045d034656c93deead21461781089fe165b7c52c7d076a",
         },
     ),
     "duplex_sweep": (
@@ -55,7 +55,7 @@ PINNED = {
             "sweep", "--protocol", "duplex", "--sweep-timeslots", "2,57", "--intercept", "0,0.5",
             "--sessions", "30", "--workers", "2", "--seed", "31",
         ],
-        {"sweep.csv": "061629d8af967c9da18b90ad973eecfe2727cf80627b3b29c957f8ff779265dd"},
+        {"sweep.csv": "151ef628a5beb3e8c8905b7cb814ba2eb100f43f7eff725806156c24202f2605"},
     ),
     "bb84_sweep": (
         [
@@ -63,8 +63,8 @@ PINNED = {
             "--intercept", "0,0.5,1", "--flip", "0,0.02", "--seed", "5",
         ],
         {
-            "sweep.json": "422d1856bea51648565e7faa5aed2287cae00c596e2dbc7ce22c1ba00a525647",
-            "sweep.csv": "201a4e4987247a0a3252db42c61debe53fe3c0f8421c27a8b46aa89c6f073b00",
+            "sweep.json": "6fa12322a4c50c2ceb4e723c3e790533d75c0f3c45aae21abf7886c98a436be0",
+            "sweep.csv": "44ed50f7f8d4bfeff404ec3abf63af25debe866f4eec5f135a2073eaa63e4f4e",
         },
     ),
 }

@@ -20,11 +20,15 @@ from duplexqkd import (
 from duplexqkd.rng import seeded_rng, session_generator
 from duplexqkd.transmission import (
     BASES,
+    _coins,
     _combine,
     intercept_records,
     slot_records,
+    stream_words,
     transmit_columns,
 )
+
+from _oracles import reference_bb84_sample, reference_slot_coins, splitmix64
 
 ALTERNATING = np.arange(400) % 2 == 0
 
@@ -188,3 +192,43 @@ def test_combine_gives_the_closed_form_rates_exactly(policy, intercept, loss, fl
     eve = intercept / 4
     assert error == eve * (1 - flip) + flip * (1 - eve)
     assert lost == loss
+
+
+def test_the_reference_stream_is_published_splitmix64():
+    # The first outputs of SplitMix64 seeded with 0, as published with it.
+    published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+    assert [splitmix64(0, c) for c in range(3)] == published
+    words = stream_words(np.zeros(1, dtype=np.uint64), 0, 1, np.arange(3, dtype=np.uint64))
+    assert words.tolist() == published
+
+
+KEYS = [0, 1, 2**64 - 1, session_generator(seeded_rng(9))]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize(
+    "thresholds", [(0.5, 0.1, 0.01), (0.0, 1.0, 0.3), (1.0, 0.0, 0.0), (1 / 3, 0.999, 2**-53)]
+)
+def test_batch_coins_are_the_scalar_stream(n, thresholds):
+    coins = _coins(np.array(KEYS, dtype=np.uint64), n, thresholds).reshape(9, len(KEYS), n)
+    for j, key in enumerate(KEYS):
+        expected = [reference_slot_coins(key, n, slot, thresholds) for slot in range(n)]
+        assert coins[:, j].T.tolist() == expected, key
+
+
+@pytest.mark.parametrize("seed", [3, 8, 21])
+@pytest.mark.parametrize("sample_count", [None, 0, 5, 1000])
+def test_bb84_sample_is_the_smallest_sample_row_words(seed, sample_count):
+    n = 90
+    config = Bb84Config(
+        n_timeslots=n, eve=EveStrategy.intercept_resend(0.5), sample_count=sample_count, seed=seed
+    )
+    outcome = run_bb84(config)
+    sifted = [r.timeslot - 1 for r in outcome.sifted_records]
+    if sample_count is None:
+        size = math.ceil(config.sample_fraction * len(sifted))
+    else:
+        size = min(sample_count, len(sifted))
+    key = session_generator(seeded_rng(seed))
+    expected = reference_bb84_sample(key, n, sifted, size)
+    assert sorted(outcome.sampled_timeslots) == [slot + 1 for slot in expected]
