@@ -147,8 +147,17 @@ def _write_file(path: Path, data: bytes) -> None:
         raise _Failure(f"cannot write {path}: {exc.strerror or exc}", 1) from None
 
 
+def float_list(text: str) -> list[float]:
+    """A comma-separated grid of floats; empty items are skipped."""
+    return [float(x) for x in text.split(",") if x != ""]
+
+
+def int_list(text: str) -> list[int]:
+    """A comma-separated grid of ints; empty items are skipped."""
+    return [int(x) for x in text.split(",") if x != ""]
+
+
 def _add_run_options(parser: argparse.ArgumentParser, *, sweep: bool) -> None:
-    listy = (lambda s: [float(x) for x in s.split(",") if x != ""]) if sweep else float
     parser.add_argument("--protocol", choices=["bb84", "duplex"], default="duplex")
     parser.add_argument(
         "--variant",
@@ -158,11 +167,11 @@ def _add_run_options(parser: argparse.ArgumentParser, *, sweep: bool) -> None:
     )
     parser.add_argument("--timeslots", type=int, default=200, help="timeslots per session")
     if sweep:
-        parser.add_argument("--intercept", type=listy, default=[0.0], metavar="LIST")
-        parser.add_argument("--flip", type=listy, default=[0.0], metavar="LIST")
-        parser.add_argument("--loss", type=listy, default=[0.0], metavar="LIST")
+        parser.add_argument("--intercept", type=float_list, default=[0.0], metavar="LIST")
+        parser.add_argument("--flip", type=float_list, default=[0.0], metavar="LIST")
+        parser.add_argument("--loss", type=float_list, default=[0.0], metavar="LIST")
         parser.add_argument(
-            "--sweep-timeslots", type=lambda s: [int(x) for x in s.split(",") if x != ""],
+            "--sweep-timeslots", type=int_list,
             default=None, metavar="LIST", help="grid over timeslots per session",
         )
     else:
@@ -238,6 +247,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     for name, add_options in _OPTIONS.items():
         add_options(commands[name])
     return parser, commands
+
+
+def _parse(
+    parser: argparse.ArgumentParser, commands: dict[str, argparse.ArgumentParser], argv
+) -> argparse.Namespace:
+    """``parser.parse_args``, with unknown flags reported by the subcommand that got them."""
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        owner = commands[args.command] if args.command is not None else parser
+        owner.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def _config_file_defaults(path: Path, command: str) -> dict:
@@ -449,7 +469,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         parser, commands = _build_parser()
-        args = parser.parse_args(argv)
+        args = _parse(parser, commands, argv)
         if args.command is None:
             if args.config is None:
                 parser.error("the following arguments are required: command")
@@ -457,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:
             # The file's values become the subcommand's defaults, so flags still win.
             commands[args.command].set_defaults(**_config_file_defaults(args.config, args.command))
-            args = parser.parse_args(argv)
+            args = _parse(parser, commands, argv)
         env_seed = os.environ.get(SEED_ENV_VAR)
         if env_seed is not None and hasattr(args, "seed"):
             try:

@@ -13,6 +13,7 @@ Every draw either returns 0 with nothing on stderr, returns 1 or 2 with
 nothing on stdout and one stderr line that starts with ``duplexqkd: ``, or,
 when ``-h`` is in argv, prints help and ends in ``SystemExit(0)``.  A usage
 error is one of the failures that return 2: no ``SystemExit`` carries it.
+Two fixed cases pin the wording of a bad sweep list and of an unknown flag.
 """
 
 import io
@@ -141,3 +142,27 @@ def test_main_lets_no_exception_escape(argv, env_seed):
     assert out.getvalue() == "", argv
     (line,) = err.getvalue().splitlines()
     assert line.startswith("duplexqkd: "), (argv, line)
+
+
+def _error_line(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(argv) == 2, argv
+    assert out.getvalue() == ""
+    (line,) = err.getvalue().splitlines()
+    return line
+
+
+def test_sweep_list_errors_name_the_list_type():
+    line = _error_line(["sweep", "--intercept", "x"])
+    assert line == "duplexqkd: argument --intercept: invalid float_list value: 'x' (see 'duplexqkd sweep -h')"
+    line = _error_line(["sweep", "--sweep-timeslots", "2,y"])
+    assert "invalid int_list value: '2,y'" in line
+    assert "<lambda>" not in line
+
+
+def test_unknown_subcommand_flag_points_at_the_subcommand_help():
+    line = _error_line(["run", "--bogus", "1"])
+    assert line == "duplexqkd: unrecognized arguments: --bogus 1 (see 'duplexqkd run -h')"
+    line = _error_line(["--bogus"])
+    assert line == "duplexqkd: unrecognized arguments: --bogus (see 'duplexqkd -h')"
