@@ -250,7 +250,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 
 def _parse(
-    parser: argparse.ArgumentParser, commands: dict[str, argparse.ArgumentParser], argv
+    parser: argparse.ArgumentParser,
+    commands: dict[str, argparse.ArgumentParser],
+    argv: list[str] | None,
 ) -> argparse.Namespace:
     """``parser.parse_args``, with unknown flags reported by the subcommand that got them."""
     args, extras = parser.parse_known_args(argv)

@@ -857,7 +857,8 @@ def run_duplex_sessions(
     """Run one session of ``config`` per seed, all as one batch.
 
     Session ``j`` draws from the stream of the key
-    ``session_generator(seeded_rng(seeds[j]))`` and takes entries ``j * n`` to ``(j + 1) * n`` of the batch's columns;
+    ``session_generator(seeded_rng(seeds[j]))`` and takes entries
+    ``j * n`` to ``(j + 1) * n`` of the batch's columns;
     ``transmit_sessions`` and ``classical_phase`` keep the sessions apart,
     so each is exactly the session of ``replace(config, seed=seeds[j])``.
     """

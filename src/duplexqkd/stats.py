@@ -424,8 +424,8 @@ def run_sessions(
     ``protocol`` ("bb84" or "duplex") must name the protocol of ``config``,
     or ``ValueError`` is raised before any session runs.  Sessions run in
     batches (see ``_run_cells``), each through one transmission kernel call
-    and one classical phase.  Every session draws from its own seeded
-    generator, so neither batching nor the worker count (see
+    and one classical phase.  Every session draws from the stream of its
+    own key, so neither batching nor the worker count (see
     ``effective_workers``) changes a report or its order.
     """
     _check_protocol(protocol, config)
