@@ -19,6 +19,7 @@ the same inputs reproduces the report files byte for byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from itertools import chain
@@ -230,8 +231,12 @@ class _Parser(argparse.ArgumentParser):
         raise _Failure(f"{message} (see '{self.prog} -h')" if self.add_help else message, 2)
 
 
+@functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command-line parser and its subcommand parsers, by name."""
+    """The command-line parser and its subcommand parsers, by name.
+
+    Built once per process; ``main`` puts back any defaults it changes.
+    """
     parser = _Parser(
         prog="duplexqkd",
         description="Duplex BB84 simulator: eavesdropper detection without public bit comparison.",
@@ -478,8 +483,14 @@ def main(argv: list[str] | None = None) -> int:
             raise _Failure("--config given without a subcommand", 2)
         if args.config is not None:
             # The file's values become the subcommand's defaults, so flags still win.
-            commands[args.command].set_defaults(**_config_file_defaults(args.config, args.command))
-            args = _parse(parser, commands, argv)
+            command = commands[args.command]
+            defaults = _config_file_defaults(args.config, args.command)
+            saved = {dest: command.get_default(dest) for dest in defaults}
+            command.set_defaults(**defaults)
+            try:
+                args = _parse(parser, commands, argv)
+            finally:
+                command.set_defaults(**saved)  # the parsers outlive this call
         env_seed = os.environ.get(SEED_ENV_VAR)
         if env_seed is not None and hasattr(args, "seed"):
             try:

@@ -994,35 +994,152 @@ def _code_rows(rows: Sequence[list[str]]) -> list[np.ndarray] | None:
     return None if bad.any() else columns
 
 
-# Lines split at a time: only one block's token lists are alive at once, so
-# parsing needs little memory beyond the text and its lines.
+# Lines coded at a time: only one block's bytes masks (or, on the str
+# coder, its token lists) are alive at once, so parsing needs little memory
+# beyond the text itself.
 _BLOCK_LINES = 4096
+
+# First-byte codes of the byte coder: a token's first byte minus its
+# column's base is its code (0 or 1), per column in _COLUMNS order.
+_CODE_BASE = np.array([ord("0"), ord("A"), ord("X"), ord("0"), ord("X"), ord("0")], dtype=np.uint8)
+_LOST_BYTES = np.frombuffer(_LOST_TOKEN.encode("ascii"), dtype=np.uint8)
+# 10**18 - 1 < 2**63: a timeslot of at most this many digits fits int64.
+_MAX_DIGITS = 18
+
+
+def _text_blocks(lines: Sequence[str]) -> Iterator[list[np.ndarray] | None]:
+    """The str coder: ``_code_rows`` of each block of ``_BLOCK_LINES`` lines."""
+    for start in range(0, len(lines), _BLOCK_LINES):
+        yield _code_rows(list(filter(None, _split_lines(lines[start : start + _BLOCK_LINES]))))
+
+
+def _code_bytes(chunk: bytes, line_ends: np.ndarray) -> list[np.ndarray] | None:
+    """The columns ``_code_rows`` gives for the LF-terminated lines ``chunk``,
+    coded from its bytes; None when the byte grammar does not cover it.
+
+    ``line_ends`` holds the offsets of the chunk's LFs.  Fields are split by
+    space, tab and the CR of a CRLF; ``#`` blanks the rest of its line.  A
+    chunk with any other control byte (a lone CR, VT, FF or FS-US, which
+    ``str.splitlines`` or ``str.split`` may read as a break), a row without
+    exactly 6 tokens, a token outside the grammar, a timeslot of more than
+    ``_MAX_DIGITS`` digits or a timeslot below 1 gives None.
+    """
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    controls = np.count_nonzero(b < 32) - len(line_ends)
+    if controls and controls != chunk.count(b"\t") + chunk.count(b"\r\n"):
+        return None
+    space = b <= 32
+    if b"#" in chunk:
+        hashes = np.flatnonzero(b == ord("#"))
+        ends = line_ends[np.searchsorted(line_ends, hashes)]
+        first = np.ones(len(hashes), dtype=bool)
+        first[1:] = ends[1:] != ends[:-1]  # the first '#' of each line
+        comment = np.zeros(len(b), dtype=np.int8)
+        comment[hashes[first]] = 1
+        comment[ends[first]] = -1
+        space |= np.cumsum(comment, dtype=np.int8).view(bool)
+    # The chunk ends in LF, so token edges alternate start, stop, ... in pairs.
+    edges = np.flatnonzero(np.diff(space, prepend=True))
+    if len(edges) % 12:
+        return None
+    edges = edges.reshape(-1, 12)
+    starts, stops = edges[:, 0::2], edges[:, 1::2]
+    # Every group of 6 tokens sits on one line, and each on a line of its own.
+    row_line = np.searchsorted(line_ends, starts[:, 0])
+    if (row_line != np.searchsorted(line_ends, stops[:, 5])).any() or (
+        row_line[1:] == row_line[:-1]
+    ).any():
+        return None
+    width = stops - starts
+    code = b[starts] - _CODE_BASE  # wraps around below the base
+    ok = (code <= 1) & (width == 1)
+    # Direction: A>B (coded 1) or B>A (coded 0).
+    alice = code[:, 1] == 0
+    ok[:, 1] = (
+        (code[:, 1] <= 1)
+        & (width[:, 1] == 3)
+        & (b.take(starts[:, 1] + 1, mode="clip") == ord(">"))
+        & (b.take(starts[:, 1] + 2, mode="clip") == np.where(alice, ord("B"), ord("A")))
+    )
+    # Receiver bit: 0, 1 or LOST (coded -1).
+    lost = width[:, 5] == len(_LOST_BYTES)
+    for k, byte in enumerate(_LOST_BYTES):
+        lost &= b.take(starts[:, 5] + k, mode="clip") == byte
+    ok[:, 5] |= lost
+    # Timeslot: ASCII digits, right-aligned and read most significant first.
+    digits = int(width[:, 0].max(initial=0))
+    if digits > _MAX_DIGITS:
+        return None
+    timeslot = np.zeros(len(edges), dtype=np.int64)
+    t_start, t_stop = starts[:, 0], stops[:, 0]
+    ok[:, 0] = True
+    for k in range(digits):
+        at = t_stop - (digits - k)
+        inside = at >= t_start
+        digit = b.take(at, mode="clip") - np.uint8(ord("0"))
+        ok[:, 0] &= (digit <= 9) | ~inside
+        timeslot *= 10
+        timeslot += np.where(inside, digit, 0)
+    if not ok.all() or (timeslot < 1).any():
+        return None
+    columns = [timeslot, alice.view(np.int8), *code[:, 2:].astype(np.int8).T]
+    columns[5][lost] = -1
+    return columns
+
+
+def _byte_blocks(data: bytes) -> Iterator[list[np.ndarray] | None]:
+    """The byte coder over ASCII ``data``, ``_BLOCK_LINES`` LF-terminated
+    lines at a time; a block it rejects goes through the str coder, whose
+    lines are that block's ``str.splitlines``.
+    """
+    if not data.endswith(b"\n"):
+        data += b"\n"  # a last line without its break; "\r" becomes "\r\n"
+    line_ends = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n"))
+    start = 0
+    for first in range(0, len(line_ends), _BLOCK_LINES):
+        ends = line_ends[first : first + _BLOCK_LINES]
+        stop = int(ends[-1]) + 1
+        chunk = data[start:stop]
+        columns = _code_bytes(chunk, ends - start)
+        if columns is None:
+            yield from _text_blocks(chunk.decode("ascii").splitlines())
+        else:
+            yield columns
+        start = stop
 
 
 def parse_transcript(text: str) -> Transcript:
     """Parse replay-format text into a Transcript (empty text is valid).
 
-    Rows may come in any order; the transcript is sorted by timeslot.  Each
-    line is split once, the rows are transposed into token columns and every
-    token is coded by a table lookup.  A text that breaks the grammar raises
-    ``TranscriptFormatError`` for its first bad row in line order (a row
-    with a bad field, or one repeating an earlier timeslot), with the line
-    number ``str.splitlines`` gives it: when a block holds a bad row, or a
-    timeslot repeats, a row-by-row scan finds that row.
+    Rows may come in any order; the transcript is sorted by timeslot.  An
+    ASCII text is coded by the byte coder, ``_BLOCK_LINES`` lines at a time:
+    numpy finds the tokens from a whitespace mask and codes each from its
+    first bytes and length, with no split per line and no lookup per token.
+    A block it does not cover (any line break but LF and CRLF, any field
+    separator but space and tab, or a row it rejects) goes through the str
+    coder, which splits each line and codes each token by a table lookup;
+    a non-ASCII text goes through the str coder whole.  A text that breaks
+    the grammar raises ``TranscriptFormatError`` for its first bad row in
+    line order (a row with a bad field, or one repeating an earlier
+    timeslot), with the line number ``str.splitlines`` gives it: when a
+    block holds a bad row, or a timeslot repeats, a row-by-row scan finds
+    that row.
     """
-    lines = text.splitlines()
+    if text.isascii():
+        coded = _byte_blocks(text.encode("ascii"))
+    else:
+        coded = _text_blocks(text.splitlines())
     blocks = [_code_rows([])]
-    for start in range(0, len(lines), _BLOCK_LINES):
-        columns = _code_rows(list(filter(None, _split_lines(lines[start : start + _BLOCK_LINES]))))
+    for columns in coded:
         if columns is None:
-            _raise_first_bad_row(lines)
+            _raise_first_bad_row(text.splitlines())
         blocks.append(columns)
     columns = [np.concatenate(parts) for parts in zip(*blocks)]
     timeslot = columns[0]
     order = np.argsort(timeslot, kind="stable")
     ordered = timeslot[order]
     if (ordered[1:] == ordered[:-1]).any():
-        _raise_first_bad_row(lines)
+        _raise_first_bad_row(text.splitlines())
     columns[1] = columns[1].astype(bool)
     if not (timeslot[1:] > timeslot[:-1]).all():
         columns = [column[order] for column in columns]
@@ -1041,19 +1158,39 @@ def _ascii_text(data: bytes) -> str:
 
 
 def read_transcript(path: str | Path) -> Transcript:
-    """Parse a transcript file; it must be ASCII."""
+    """Parse a transcript file with ``parse_transcript``; it must be ASCII.
+
+    A non-ASCII byte raises ``TranscriptFormatError`` naming its line.  An
+    ASCII file's text reaches the byte coder whole: decoding it, and
+    encoding it back, copies it once each and splits nothing.
+    """
     return parse_transcript(_ascii_text(Path(path).read_bytes()))
 
 
+_HEADER = "# timeslot direction sender_basis sender_bit receiver_basis receiver_bit\n"
+# The text after the timeslot of every row, indexed by its codes in the
+# order of this table's loops (see format_transcript).
+_ROW_TAILS = np.array(
+    [
+        f" {direction.value} {sender_basis.value} {sender_bit} {receiver_basis.value} {receiver_bit}"
+        for direction in _DIRECTIONS
+        for sender_basis in BASES
+        for sender_bit in (0, 1)
+        for receiver_basis in BASES
+        for receiver_bit in (_LOST_TOKEN, 0, 1)
+    ],
+    dtype=object,
+)
+
+
 def format_transcript(transcript: Transcript) -> str:
-    lines = ["# timeslot direction sender_basis sender_bit receiver_basis receiver_bit"]
-    for r in transcript:
-        rbit = _LOST_TOKEN if r.receiver_bit is None else str(r.receiver_bit)
-        lines.append(
-            f"{r.timeslot} {r.direction.value} {r.sender_basis.value} "
-            f"{r.sender_bit} {r.receiver_basis.value} {rbit}"
-        )
-    return "\n".join(lines) + "\n"
+    """The transcript in replay format, one ``%`` template over its columns."""
+    t = transcript
+    tail = ((t.alice_sends * 2 + t.sender_basis) * 2 + t.sender_bit) * 2 + t.receiver_basis
+    cells = np.empty((len(t), 2), dtype=object)
+    cells[:, 0] = t.timeslot
+    cells[:, 1] = _ROW_TAILS[tail * 3 + t.receiver_bit + 1]
+    return _HEADER + "%d%s\n" * len(t) % tuple(cells.ravel().tolist())
 
 
 def write_transcript(transcript: Transcript, path: str | Path) -> None:

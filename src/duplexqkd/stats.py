@@ -29,7 +29,7 @@ from .bb84 import Bb84Config, Bb84Outcome, run_bb84_sessions
 from .duplex import DuplexConfig, DuplexSessionResult, Triple, run_duplex_sessions
 from .quantum import Basis, ChannelModel
 from .rng import derive_seed
-from .transmission import SessionCounts
+from .transmission import BATCH_SLOTS, SessionCounts
 
 __all__ = [
     "SessionReport",
@@ -341,12 +341,6 @@ def normal_halfwidth(p_hat: float, n: int, z: float = _Z95) -> float:
 # --------------------------------------------------------------------------
 # Monte Carlo batches
 # --------------------------------------------------------------------------
-
-# Slots one batch of sessions holds at most; a longer session is a batch of
-# its own.  A batch's coin buffer is 9 bools per slot, and each threshold row
-# hashes one uint64 word per slot while it is drawn.
-BATCH_SLOTS = 1 << 16
-
 
 def _run_chunk(
     config: Bb84Config | DuplexConfig, master_seed: int, start: int, stop: int

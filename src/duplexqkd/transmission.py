@@ -33,8 +33,8 @@ A slot's coins are thus a pure function of ``(key, n, row, slot)``: a
 session is the same whatever batch or worker runs it.  ``transmit_sessions``
 simulates a batch of sessions in one pass over their concatenated slots;
 ``transmit_columns`` is a batch of one.  ``SlotRecord``, the per-slot object
-form, is used by ``Transcript``, ``format_transcript``, bb84's ``sift`` and
-the reference step functions.  ``SessionCounts`` is the per-session tally
+form, is used by ``Transcript``, bb84's ``sift`` and the reference step
+functions.  ``SessionCounts`` is the per-session tally
 both protocols' batch runners fill and every session report is built from.
 """
 
@@ -66,6 +66,11 @@ BASES = (Basis.X, Basis.Y)
 _SENDER_BASIS, _SENDER_BIT, _EVE_BASIS, _EVE_READING, _RECEIVER_BASIS, _RECEIVER_READING = range(6)
 _INTERCEPT, _LOSS, _FLIP, SAMPLE_ROW = 6, 7, 8, 9
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+# Slots one batch of sessions holds at most; a longer session is a batch of
+# its own.  A batch's coin buffer is 9 bools per slot, and each threshold row
+# is hashed at most this many uint64 words at a time.
+BATCH_SLOTS = 1 << 16
 
 
 class Direction(Enum):
@@ -201,14 +206,21 @@ def _coins(keys: np.ndarray, n: int, thresholds: Sequence[float]) -> np.ndarray:
     packed = fair.astype("<u8", copy=False).view(np.uint8).reshape(count, 6, 8 * words)
     bits = np.unpackbits(packed, axis=-1, bitorder="little")
     coins[:6] = bits[..., :n].view(bool).transpose(1, 0, 2)
+    # Threshold rows go in slices of at most BATCH_SLOTS slots: whole
+    # sessions, or part of one longer session.
+    width = max(1, min(n, BATCH_SLOTS))
+    height = BATCH_SLOTS // width
     slots = np.arange(n, dtype=np.uint64)
     for row, p in zip((_INTERCEPT, _LOSS, _FLIP), thresholds):
         if p == 0.0 or p == 1.0:
             coins[row] = p == 1.0
-        else:
-            uniform = stream_words(column, row, n, slots)
-            uniform >>= np.uint64(11)
-            np.less(uniform, np.uint64(math.ceil(p * 2**53)), out=coins[row])
+            continue
+        threshold = np.uint64(math.ceil(p * 2**53))
+        for top in range(0, count, height):
+            for left in range(0, n, width):
+                uniform = stream_words(column[top : top + height], row, n, slots[left : left + width])
+                uniform >>= np.uint64(11)
+                np.less(uniform, threshold, out=coins[row, top : top + height, left : left + width])
     return coins.reshape(9, count * n)
 
 

@@ -5,7 +5,7 @@ by exact probability arithmetic, never by calling the simulator, so they can
 vouch for the values the simulator is asserted against.  The reference
 protocol oracles (``greedy_pairs_search``, ``reference_duplex_session``,
 ``reference_run_sessions``, ``reference_parse_transcript``,
-``reference_replay_payload``) restate a protocol rule or the transcript
+``reference_format_transcript``, ``reference_replay_payload``) restate a protocol rule or the transcript
 grammar in its plainest form, or compose the dict/tuple step functions or
 single sessions, to check the fast implementations against.
 """
@@ -370,6 +370,18 @@ def reference_parse_transcript(text: str) -> Transcript:
         records.append(record)
     records.sort(key=lambda r: r.timeslot)
     return Transcript(tuple(records), "file")
+
+
+def reference_format_transcript(transcript: Transcript) -> str:
+    """The transcript in replay format, written one record at a time."""
+    lines = ["# timeslot direction sender_basis sender_bit receiver_basis receiver_bit"]
+    for r in transcript:
+        rbit = "LOST" if r.receiver_bit is None else str(r.receiver_bit)
+        lines.append(
+            f"{r.timeslot} {r.direction.value} {r.sender_basis.value} "
+            f"{r.sender_bit} {r.receiver_basis.value} {rbit}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def reference_replay_payload(transcript: Transcript, variant: str) -> dict:

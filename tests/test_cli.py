@@ -451,6 +451,21 @@ def test_sweep_config_grid_values_name_the_file_and_line(tmp_path, capsys, text,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text, status", [("timeslots = 30\n", 0), ("timeslots = 30\nsessions = 0\n", 2)]
+)
+def test_a_config_file_leaves_no_defaults_behind(tmp_path, capsys, text, status):
+    config = tmp_path / "run.conf"
+    config.write_text(text)
+    first = tmp_path / "first"
+    assert run_cli("--config", str(config), "run", "--out", str(first)) == status
+    if status == 0:
+        assert json.loads((first / "report.json").read_text())["config"]["timeslots"] == 30
+    plain = tmp_path / "plain"
+    assert run_cli("run", "--out", str(plain)) == 0
+    assert json.loads((plain / "report.json").read_text())["config"]["timeslots"] == 200
+
+
 @pytest.mark.parametrize("flag", ["--conf {}", "--con={}"], ids=["conf", "con-equals"])
 def test_abbreviated_config_flag_applies_the_file(tmp_path, capsys, flag):
     config = tmp_path / "run.conf"

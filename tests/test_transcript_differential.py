@@ -33,13 +33,24 @@ from duplexqkd.cli import _json_bytes, _replay_payload
 from duplexqkd.duplex import classical_phase
 from duplexqkd.rng import seeded_rng
 
-from _oracles import reference_parse_transcript, reference_replay_payload
+from _oracles import (
+    reference_format_transcript,
+    reference_parse_transcript,
+    reference_replay_payload,
+)
 
 VARIANTS = ("flip_triples", "search_pairs")
-LINE_BREAKS = ("\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c")
-FILLER_LINES = ("", "   ", "\t", "# comment", "  # indented comment", "#")
-SEPARATORS = (" ", " ", " ", "\t", "  ")
+# Every line break str.splitlines knows in ASCII.  The byte coder reads the
+# PLAIN_BREAKS (LF and CRLF) and hands a block with any other to the str
+# coder, as it does a block with an FS-US separator (the last SEPARATORS).
+LINE_BREAKS = ("\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+PLAIN_BREAKS = LINE_BREAKS[:4]
+UNICODE_BREAK = "\u2028"
+FILLER_LINES = ("", "   ", "\t", "# comment", "  # indented comment", "#", "#1#x")
+SEPARATORS = (" ", " ", " ", "\t", "  ", "\x1f")
+PLAIN_SEPARATORS = SEPARATORS[:5]
 HUGE = 2**64  # beyond int64: the timeslot column falls back to Python ints
+INT64_EDGE = 2**63  # 19 digits: the largest int64 is one below it
 
 # (valid tokens, bad tokens) per column after the timeslot.
 TOKENS = (
@@ -52,12 +63,16 @@ TOKENS = (
 BAD_TIMESLOTS = ("0", "-3", "1.5", "x", "1__0", "_1", "0x1", "")
 
 
-def _timeslot_token(draw, t: int) -> str:
-    spelling = draw(st.sampled_from(("plain",) * 5 + ("plus", "zeros", "underscore")))
+def _timeslot_token(draw, t: int, spellings: tuple[str, ...]) -> str:
+    spelling = draw(st.sampled_from(spellings))
     if spelling == "plus":
         return f"+{t}"
     if spelling == "zeros":
         return f"00{t}"
+    if spelling == "many_zeros":  # more than 18 digits, any value
+        return "0" * draw(st.integers(19, 21)) + str(t)
+    if spelling == "fullwidth":  # non-ASCII digits, which int reads
+        return "".join(chr(ord(c) - ord("0") + ord("\uff10")) for c in str(t))
     if spelling == "underscore" and t >= 10:
         digits = str(t)
         return f"{digits[0]}_{digits[1:]}"
@@ -71,14 +86,28 @@ def transcript_texts(draw):
     Every rare choice is the largest value of its draw, so shrinking (which
     lowers values) removes mutations instead of adding them.
 
-    Mutations: comment and blank lines, trailing comments, every line break
-    ``str.splitlines`` knows in ASCII, unsorted/gapped/duplicate/huge
-    timeslots with ``+``, leading-zero and underscore spellings, and, in a
-    third of the texts, rows with 5 or 7 columns or a bad token.
+    Mutations: comment and blank lines, trailing comments, unsorted/gapped/
+    duplicate timeslots, timeslots past int64 or of 19 digits around 2**63,
+    leading-zero spellings, and, in a third of the texts, rows with 5 or 7
+    columns, a bad token or a comment right after a token (``1#x``).  Half
+    the texts also draw what only the str coder reads: every line break
+    ``str.splitlines`` knows in ASCII, FS-US separators, a CR inside a row,
+    and ``+``, underscore and more-than-18-digit timeslot spellings.  A
+    quarter of those are non-ASCII, with U+2028 breaks and fullwidth digits.
     """
     n = draw(st.integers(0, 14))
-    pool = st.integers(1, 40) | st.integers(HUGE, HUGE + 3)
+    pool = st.integers(1, 40)
+    if draw(st.booleans()):  # timeslots of 19 digits or more in half the texts
+        pool |= st.integers(HUGE, HUGE + 3) | st.integers(INT64_EDGE - 3, INT64_EDGE + 2)
     unique = draw(st.sampled_from((True, True, True, False)))
+    spellings, breaks, separators = ("plain",) * 5 + ("zeros",), PLAIN_BREAKS, PLAIN_SEPARATORS
+    odd = draw(st.booleans())
+    if odd:
+        spellings += ("plus", "underscore", "many_zeros")
+        breaks, separators = LINE_BREAKS, SEPARATORS
+        if draw(st.sampled_from((False, False, False, True))):
+            spellings += ("fullwidth",)
+            breaks += (UNICODE_BREAK,)
     timeslots = draw(st.lists(pool, min_size=n, max_size=n, unique=unique))
     if draw(st.booleans()):
         timeslots.sort()
@@ -91,17 +120,23 @@ def transcript_texts(draw):
     for t in timeslots:
         while draw(st.integers(0, 5)) == 5:
             lines.append(draw(st.sampled_from(FILLER_LINES)))
-        fields = [draw(st.sampled_from(BAD_TIMESLOTS)) if flaw() else _timeslot_token(draw, t)]
+        fields = [draw(st.sampled_from(BAD_TIMESLOTS)) if flaw() else _timeslot_token(draw, t, spellings)]
         for valid, bad in TOKENS:
             fields.append(draw(st.sampled_from(bad if flaw() else valid)))
         if flaw():
             fields = fields[:5] if draw(st.booleans()) else fields + ["1"]
-        sep = draw(st.sampled_from(SEPARATORS))
+        sep = draw(st.sampled_from(separators))
         line = sep.join(fields)
+        if flaw():  # a comment right after a token hides the rest of the row
+            cut = draw(st.integers(1, 6))
+            line = sep.join(fields[:cut]) + "#x" + sep + sep.join(fields[cut:])
+        if odd and draw(st.integers(0, 11)) == 11:  # a CR inside the row
+            cut = draw(st.integers(0, len(line)))
+            line = line[:cut] + "\r" + line[cut:]
         if draw(st.integers(0, 5)) == 5:
             line = " " + line + draw(st.sampled_from(("", " ", " # note", "#x")))
         lines.append(line)
-    text = "".join(line + draw(st.sampled_from(LINE_BREAKS)) for line in lines)
+    text = "".join(line + draw(st.sampled_from(breaks)) for line in lines)
     if text and draw(st.booleans()):
         text = text[:-1]  # drop the last line break (or split a \r\n)
     return text
@@ -154,6 +189,20 @@ def test_long_shuffled_transcript_spans_several_blocks():
     assert str(exc.value) == str(_outcome(reference_parse_transcript, text)[1][1])
 
 
+def test_plain_transcripts_are_coded_without_splitting_lines():
+    transcript = run_duplex_transmission(
+        9000, ChannelModel(loss_probability=0.1), EveStrategy.absent(), seeded_rng(4)
+    )
+    header, *rows = format_transcript(transcript).splitlines()
+    texts = (
+        "\n".join([header, *rows]) + "\n",
+        "\r\n".join([header, *(row.replace(" ", "\t") + " # c" for row in rows)]),
+    )
+    with mock.patch.object(duplex, "_split_lines", side_effect=AssertionError("split")):
+        for text in texts:
+            assert parse_transcript(text) == Transcript(transcript.slots, "file")
+
+
 @pytest.mark.parametrize(
     "text, line, message",
     [
@@ -179,6 +228,49 @@ def test_the_first_bad_row_wins(text, line, message):
     assert str(ref.value) == str(exc.value)
 
 
+# Near misses of each token the byte coder reads, by column.
+NEAR_MISSES = (
+    ("0", "00", "0" * 18, "-1", "1a", "a1", "1/", ":1", "+1", "1_0", "9" * 18, "0" * 18 + "7",
+     str(2**63 - 1), str(2**63), "9" * 19, "9" * 20, str(2**64 + 5)),
+    ("A>A", "B>B", "A-B", "AAB", "A>", "A>BB", ">AB", "C>A", "@>B", "A=B", "B?A"),
+    ("W", "Z", "XX", "x", "X0"),
+    ("2", "/", "00", ":", "1X"),
+    ("W", "[", "YY", "y"),
+    ("LOSS", "LOS", "LOSTT", "lOST", "KOST", "LOST0", "/", ":", "10"),
+)
+ROW = ["2", "B>A", "Y", "0", "X", "1"]
+
+
+def _byte_edge_texts():
+    for column, misses in enumerate(NEAR_MISSES):
+        for miss in misses:
+            yield "1 A>B X 1 X 1\n" + " ".join(ROW[:column] + [miss] + ROW[column + 1 :]) + "\n"
+    yield from (
+        "1 A>B X 1 X\n1 2 B>A X 1 X 1\n",  # 5 then 7 tokens: 6 and 6 across lines
+        "1 A>B X 1 X 1 2 B>A X 1 X 1\n",  # 12 tokens on one line
+        "1 A>B X 1 X 1#c#d\n2 B>A X 1 X 1\n",  # two '#' on a line
+        "# a # b\n1 A>B X 1 X 1\n#\n\n2 B>A X 1 X 1 #\n",
+        "1 A>B X 1 X 1\x00\n",
+        "1 A>B X 1 X 1\x7f\n",
+        "1 A>B X 1 X 1\r\r\n2 B>A X 1 X 1\n",
+        "# a\r2 A>B X 1 X 1\n",
+        "# a\x0b2 A>B X 1 X 1\n",
+        "# a\x1e2 A>B X 1 X 1\n",
+        "# a\x1f2 A>B X 1 X 1\n",
+        "1\x1fA>B X 1 X 1\n",
+        "1 A>B X 1 X 1",
+        "1 A>B X 1 X 1\r",
+        "1 A>B X 1 X 1\r\n\r\n",
+    )
+
+
+@pytest.mark.parametrize("block_lines", [1, 4096])
+def test_byte_coder_edges_match_the_reference(block_lines):
+    with mock.patch.object(duplex, "_BLOCK_LINES", block_lines):
+        for text in _byte_edge_texts():
+            assert _outcome(parse_transcript, text) == _outcome(reference_parse_transcript, text), text
+
+
 @given(st.data())
 def test_records_round_trip_through_the_format(data):
     timeslots = sorted(data.draw(st.sets(st.integers(1, 10**6), max_size=20)))
@@ -200,6 +292,29 @@ def test_records_round_trip_through_the_format(data):
     assert parsed.timeslots() == tuple(timeslots)
     assert parsed.directions() == {r.timeslot: r.direction for r in records}
     assert list(parsed) == list(records) and len(parsed) == len(records)
+
+
+@given(st.data())
+def test_format_matches_the_record_loop(data):
+    # Timeslots in any order, some past int64 (an object column).
+    pool = st.integers(1, 10**6) | st.integers(2**63 - 2, 2**70)
+    timeslots = data.draw(st.lists(pool, unique=True, max_size=20))
+    records = tuple(
+        SlotRecord(
+            t,
+            data.draw(st.sampled_from(Direction)),
+            data.draw(st.sampled_from(Basis)),
+            data.draw(st.integers(0, 1)),
+            data.draw(st.sampled_from(Basis)),
+            data.draw(st.sampled_from((0, 1, None))),
+        )
+        for t in timeslots
+    )
+    transcript = Transcript(records, "file")
+    text = format_transcript(transcript)
+    assert text.encode("ascii") == reference_format_transcript(transcript).encode("ascii")
+    parsed = parse_transcript(text)
+    assert format_transcript(parsed) == reference_format_transcript(parsed)
 
 
 def test_transcript_equality_compares_records_and_interleaving(example_transcript):

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from duplexqkd import (
     run_duplex_transmission,
     sift,
 )
+from duplexqkd import transmission
 from duplexqkd.rng import seeded_rng, session_generator
 from duplexqkd.transmission import (
     BASES,
@@ -214,6 +216,15 @@ def test_batch_coins_are_the_scalar_stream(n, thresholds):
     for j, key in enumerate(KEYS):
         expected = [reference_slot_coins(key, n, slot, thresholds) for slot in range(n)]
         assert coins[:, j].T.tolist() == expected, key
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 65, 200])
+@pytest.mark.parametrize("budget", [1, 7, 64, 130])
+def test_threshold_rows_hashed_in_slices_give_the_same_coins(n, budget):
+    keys, thresholds = np.array(KEYS, dtype=np.uint64), (0.5, 0.1, 0.01)
+    whole = _coins(keys, n, thresholds)
+    with mock.patch.object(transmission, "BATCH_SLOTS", budget):
+        assert np.array_equal(_coins(keys, n, thresholds), whole)
 
 
 @pytest.mark.parametrize("seed", [3, 8, 21])
