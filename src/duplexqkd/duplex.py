@@ -994,13 +994,13 @@ def _code_rows(rows: Sequence[list[str]]) -> list[np.ndarray] | None:
     return None if bad.any() else columns
 
 
-# Lines coded at a time: only one block's bytes masks (or, on the str
+# Lines coded at a time: only one block's byte masks (or, on the str
 # coder, its token lists) are alive at once, so parsing needs little memory
 # beyond the text itself.
 _BLOCK_LINES = 4096
 
-# First-byte codes of the byte coder: a token's first byte minus its
-# column's base is its code (0 or 1), per column in _COLUMNS order.
+# Per column in _COLUMNS order, a valid token's first byte minus its
+# column's base is 0 or 1; for the bases and bits that is the column code.
 _CODE_BASE = np.array([ord("0"), ord("A"), ord("X"), ord("0"), ord("X"), ord("0")], dtype=np.uint8)
 _LOST_BYTES = np.frombuffer(_LOST_TOKEN.encode("ascii"), dtype=np.uint8)
 # 10**18 - 1 < 2**63: a timeslot of at most this many digits fits int64.
